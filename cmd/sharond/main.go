@@ -72,7 +72,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		queriesFile = flag.String("queries-file", "", "file with one query per line (# comments); overrides -query")
 		parallelism = flag.Int("parallelism", 1, "engine shard workers (1 = sequential)")
-		dynamic     = flag.Bool("dynamic", false, "back the engine with a DynamicSystem (re-optimize on rate drift)")
+		dynamic     = flag.Bool("dynamic", false, "re-optimize the sharing plan on rate drift (sharon.Options.Dynamic; needs a uniform workload)")
 		adaptive    = flag.Bool("adaptive", false, "burst-adaptive sharing: share bursts, split valleys (implies -dynamic)")
 		emitEmpty   = flag.Bool("emit-empty", false, "also push zero results for windows without matches")
 		maxBatch    = flag.Int64("max-batch-bytes", 8<<20, "ingest request body limit")

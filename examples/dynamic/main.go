@@ -4,9 +4,9 @@
 // WestSt), which overlap at MainSt — the executor can share only one of
 // them (Definition 6). While Oak-side traffic dominates, sharing
 // (OakSt, MainSt) with q2 wins; when the rush moves to the Park/West
-// side, sharing (MainSt, WestSt) with q3 wins. The DynamicSystem detects
-// the rate drift, re-optimizes, and migrates plans mid-stream without
-// losing or corrupting any window result.
+// side, sharing (MainSt, WestSt) with q3 wins. With Options.Dynamic set
+// the system detects the rate drift, re-optimizes, and migrates plans
+// mid-stream without losing or corrupting any window result.
 //
 // Run:
 //
@@ -39,12 +39,15 @@ func main() {
 	// Seed the optimizer with rates measured on the first phase only —
 	// they become stale when the rush hour moves.
 	warmup := stream[:20_000]
-	sys, err := sharon.NewDynamicSystem(workload, sharon.MeasureRates(warmup, workload), sharon.DynamicOptions{
-		DriftThreshold: 0.4,
-		OnMigrate: func(at int64, old, new sharon.Plan) {
-			fmt.Printf("t=%6.1fs: rate drift — migrating %s -> %s\n",
-				float64(at)/sharon.TicksPerSecond,
-				old.Format(reg, workload), new.Format(reg, workload))
+	sys, err := sharon.NewSystem(workload, sharon.Options{
+		Rates: sharon.MeasureRates(warmup, workload),
+		Dynamic: &sharon.DynamicOptions{
+			DriftThreshold: 0.4,
+			OnMigrate: func(at int64, old, new sharon.Plan) {
+				fmt.Printf("t=%6.1fs: rate drift — migrating %s -> %s\n",
+					float64(at)/sharon.TicksPerSecond,
+					old.Format(reg, workload), new.Format(reg, workload))
+			},
 		},
 	})
 	if err != nil {
@@ -57,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("final plan:   %s\n", sys.Plan().Format(reg, workload))
-	fmt.Printf("migrations: %d, results: %d\n", sys.Migrations(), len(sys.Results()))
+	fmt.Printf("migrations: %d, results: %d\n", sys.DynamicStats().Migrations, len(sys.Results()))
 }
 
 // shiftingStream emits position reports whose popularity flips halfway:

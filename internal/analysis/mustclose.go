@@ -9,9 +9,9 @@ import (
 )
 
 // MustClose tracks the engine's closeable handles — the root-package
-// System/DynamicSystem/PartitionedSystem, exec.Parallel (which owns
-// worker goroutines), persist.WAL (an open segment file), and os.File
-// — from their constructor call to the function exits. A handle that stays local to
+// System, exec.Parallel (which owns worker goroutines), persist.WAL (an
+// open segment file), and os.File — from their constructor call to the
+// function exits. A handle that stays local to
 // the function must be closed on every path: a deferred Close, or a
 // Close preceding each return. Handles that escape (returned, stored,
 // passed to another function, captured by a closure) transfer
@@ -38,8 +38,6 @@ var closeableTypes = []struct {
 	release []string
 }{
 	{".System", []string{"Close"}},
-	{".DynamicSystem", []string{"Close"}},
-	{".PartitionedSystem", []string{"Close"}},
 	{"/internal/exec.Parallel", []string{"Stop", "Flush"}},
 	{"/internal/persist.WAL", []string{"Close"}},
 }

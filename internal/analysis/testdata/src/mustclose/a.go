@@ -7,8 +7,33 @@ package mustclose
 import (
 	"os"
 
+	sharon "github.com/sharon-project/sharon"
 	"github.com/sharon-project/sharon/internal/persist"
 )
+
+// leakSystem leaks the one public system type on both returns past the
+// constructor's error guard: a sharded run dropped without Close keeps
+// its workers until the GC backstop runs.
+func leakSystem(w sharon.Workload, stream sharon.Stream) error {
+	sys, err := sharon.NewSystem(w, sharon.Options{Parallelism: 4})
+	if err != nil {
+		return err
+	}
+	if err := sys.FeedBatch(stream); err != nil {
+		return err // want `return may leak sys opened at line \d+ without Close`
+	}
+	return sys.Flush() // want `return may leak sys opened at line \d+ without Close`
+}
+
+// closedSystem defers the release; Close is idempotent after Flush.
+func closedSystem(w sharon.Workload, stream sharon.Stream) error {
+	sys, err := sharon.NewSystem(w, sharon.Options{Parallelism: 4})
+	if err != nil {
+		return err
+	}
+	defer sys.Close()
+	return sys.ProcessAll(stream)
+}
 
 // leakFile leaks f on the success return: the error-guard return is
 // exempt (no handle exists when the constructor failed).

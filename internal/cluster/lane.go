@@ -114,7 +114,7 @@ func (r *Router) newLane(spec WorkerSpec) (*lane, error) {
 // received seq via the worker's replay ring, so a dropped connection
 // to a live worker loses nothing.
 func (r *Router) subscribeLane(ctx context.Context, ln *lane, resume bool) (*http.Response, error) {
-	url := ln.id + "/subscribe?punctuate=1"
+	url := ln.id + "/subscribe?type=result&type=wm&type=adopted"
 	if resume {
 		url = fmt.Sprintf("%s&after=%d", url, ln.lastSeq)
 	}

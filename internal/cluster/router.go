@@ -9,7 +9,7 @@
 // worker receives its slice plus the batch's closing watermark, so all
 // workers advance in lock-step and close the same windows a single node
 // would. The router subscribes to each worker's punctuated SSE stream
-// (?punctuate=1): workers mark "every result for windows ending <= W
+// (?type=result&type=wm&type=adopted): workers mark "every result for windows ending <= W
 // has been sent" after each applied step, the router's merge frontier
 // is the minimum marker across workers, and buffered results at or
 // below the frontier are emitted downstream in the canonical order with
@@ -866,7 +866,8 @@ func (r *Router) handleIndex(w http.ResponseWriter, req *http.Request) {
 POST   /ingest                  NDJSON events; consistent-hash routed across workers
 POST   /watermark               {"watermark":T} — fanned out to every worker
 GET    /subscribe               merged SSE result stream, single-node byte-identical
-                                (?query=ID filters, ?after=N resumes, ?punctuate=1 marks)
+                                (?query=ID filters, ?after=N resumes,
+                                ?type=result&type=wm&type=adopted adds watermark marks)
 GET    /queries                 the cluster workload
 GET    /metrics                 router + per-worker shard counters
                                 (JSON; ?format=prometheus for text exposition

@@ -55,6 +55,8 @@ type Dynamic struct {
 	win query.Window
 	cfg DynamicConfig
 	resultSink
+	sequential
+	noGroupSlices
 
 	current  *Engine
 	draining *Engine
@@ -216,6 +218,21 @@ func (d *Dynamic) Process(e event.Event) error {
 	}
 	return d.current.Process(e)
 }
+
+// FeedBatch feeds a strictly time-ordered batch.
+func (d *Dynamic) FeedBatch(events []event.Event) error {
+	for _, e := range events {
+		if err := d.Process(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Explain is empty: the decomposition changes with every plan hand-off,
+// and under Parallel the installed engine belongs to the worker
+// goroutine. Plan reports what is installed.
+func (d *Dynamic) Explain(*event.Registry) string { return "" }
 
 // maybeMigrate measures recent rates and installs a new plan when the
 // situation calls for one: in adaptive mode on confirmed burst/valley

@@ -50,6 +50,7 @@ type Engine struct {
 	groups map[event.GroupKey]*engineGroup
 
 	resultSink
+	sequential
 	started   bool
 	lastTime  int64
 	nextClose int64
@@ -637,6 +638,18 @@ func (en *Engine) Process(e event.Event) error {
 			if err := node.agg.Process(e); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// FeedBatch feeds a strictly time-ordered batch.
+//
+//sharon:hotpath
+func (en *Engine) FeedBatch(events []event.Event) error {
+	for _, e := range events {
+		if err := en.Process(e); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -3,10 +3,13 @@
 //   - Engine: the online executor. With an empty sharing plan it is the
 //     A-Seq baseline (non-shared method, §3.2); with a plan from the
 //     optimizer it is the Sharon executor (shared method, §3.3).
-//   - TwoStep: the Flink-style non-shared two-step baseline that constructs
-//     every event sequence before aggregating it.
-//   - SPASS: the shared two-step baseline that shares event sequence
-//     construction but not aggregation.
+//   - Partitioned, Dynamic, Parallel: the §7.2 segment, §7.4 re-planning
+//     and group-hash/segment sharding wrappers around Engine. Together
+//     with Engine they satisfy Online, the one contract the public
+//     sharon.System and the Parallel workers drive.
+//   - TwoStep, SPASS, SASE: the sequence-constructing baselines the
+//     paper compares against. Measurement-only: they satisfy the small
+//     Executor contract and are reachable from internal/harness alone.
 //   - EnumerateWindow: a brute-force oracle used by the test suite.
 //
 // All executors consume one strictly time-ordered stream and emit one
@@ -15,11 +18,13 @@ package exec
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"sort"
 
 	"github.com/sharon-project/sharon/internal/agg"
 	"github.com/sharon-project/sharon/internal/event"
+	"github.com/sharon-project/sharon/internal/metrics"
 	"github.com/sharon-project/sharon/internal/query"
 )
 
@@ -55,7 +60,9 @@ func valueKind(k query.AggKind) agg.AggValueKind {
 	return agg.ValueCountStar
 }
 
-// Executor is the common contract of all four evaluation strategies.
+// Executor is the measurement contract every evaluation strategy
+// satisfies, the comparison baselines included: what internal/harness
+// needs to replay a stream and read the paper's metrics.
 type Executor interface {
 	// Name identifies the strategy ("Sharon", "A-Seq", "TwoStep", "SPASS").
 	Name() string
@@ -69,6 +76,76 @@ type Executor interface {
 	// ResultCount reports how many (query, window, group) results were
 	// emitted so far.
 	ResultCount() int64
+}
+
+// Online is the full-lifecycle contract of the online executors: Engine,
+// Partitioned, Dynamic and Parallel. A system is served, checkpointed and
+// rebalanced through it alone, and Parallel drives its per-worker shards
+// through the same methods, so every wrapper composes with every other
+// without the caller knowing which one it holds. The sequential
+// executors own no goroutines and emit synchronously, which makes Stop,
+// Quiesce and Stats trivial for them (see sequential).
+type Online interface {
+	Executor
+	// FeedBatch is Process over a strictly time-ordered batch.
+	FeedBatch(events []event.Event) error
+	// AdvanceWatermark closes every window ending at or before t without
+	// consuming an event. Calls before the first event or behind the
+	// current watermark are no-ops.
+	AdvanceWatermark(t int64)
+	// Stop releases the executor without emitting the windows still open.
+	Stop()
+	// Results returns the collected results sorted by (query, window,
+	// group); nil unless Options.Collect is set.
+	Results() []Result
+	// GroupCount reports the live per-group runtimes.
+	GroupCount() int64
+	// Snapshot captures the runtime state once every result for windows
+	// at or before the watermark has been delivered; Restore loads it
+	// into a freshly built executor of the same shape.
+	Snapshot() (*SystemSnapshot, error)
+	Restore(*SystemSnapshot) error
+	// Quiesce blocks until every result for windows ending at or before
+	// the watermark has been delivered.
+	Quiesce() error
+	// Stats reports the sharded run's counters (zero when sequential).
+	Stats() metrics.ParallelStats
+	// Explain renders the per-query shared/private decomposition.
+	Explain(reg *event.Registry) string
+	// AbsorbSlice grafts a group slice cut by SliceGroups and
+	// RemoveGroups deletes the groups drop selects; executors whose
+	// state a group slice cannot represent return ErrNoGroupSlices.
+	AbsorbSlice(*EngineSnapshot) error
+	RemoveGroups(drop func(event.GroupKey) bool) (int, error)
+}
+
+var (
+	_ Online = (*Engine)(nil)
+	_ Online = (*Partitioned)(nil)
+	_ Online = (*Dynamic)(nil)
+	_ Online = (*Parallel)(nil)
+)
+
+// ErrNoGroupSlices is returned by the group-slice operations of
+// executors that cannot host them: partitioned workloads interleave
+// per-segment windows and dynamic ones carry migration state a group
+// slice cannot represent.
+var ErrNoGroupSlices = errors.New("exec: group slices require a uniform non-dynamic workload")
+
+// sequential supplies the Online methods that are trivial for an
+// executor driven from one goroutine with synchronous emission.
+type sequential struct{}
+
+func (sequential) Stop()                        {}
+func (sequential) Quiesce() error               { return nil }
+func (sequential) Stats() metrics.ParallelStats { return metrics.ParallelStats{} }
+
+// noGroupSlices refuses the group-slice operations (see ErrNoGroupSlices).
+type noGroupSlices struct{}
+
+func (noGroupSlices) AbsorbSlice(*EngineSnapshot) error { return ErrNoGroupSlices }
+func (noGroupSlices) RemoveGroups(func(event.GroupKey) bool) (int, error) {
+	return 0, ErrNoGroupSlices
 }
 
 // Options configures result delivery for an executor.
@@ -137,9 +214,12 @@ func cmpResult(a, b Result) int {
 	}
 }
 
-// Results returns collected results (Options.Collect must be set), sorted
-// by query, window, group for deterministic comparison.
+// Results returns the collected results sorted by query, window, group
+// for deterministic comparison; nil unless Options.Collect is set.
 func (rs *resultSink) Results() []Result {
+	if !rs.opts.Collect {
+		return nil
+	}
 	out := make([]Result, len(rs.results))
 	copy(out, rs.results)
 	sort.Slice(out, func(i, j int) bool { return lessResult(out[i], out[j]) })

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/sharon-project/sharon/internal/core"
 	"github.com/sharon-project/sharon/internal/event"
@@ -432,4 +433,66 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestBaselinesAgreeOnTraffic checks the sequence-constructing baselines
+// (Flink-style two-step, SPASS, SASE) against the online engine on the
+// paper's traffic workload (Table 1): grouped by vehicle, a shared plan
+// from the optimizer, a few thousand position reports.
+func TestBaselinesAgreeOnTraffic(t *testing.T) {
+	reg := event.NewRegistry()
+	var w query.Workload
+	for _, text := range []string{
+		"RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt, StateSt) WHERE [vehicle] WITHIN 4s SLIDE 1s",
+		"RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt, WestSt) WHERE [vehicle] WITHIN 4s SLIDE 1s",
+		"RETURN COUNT(*) PATTERN SEQ(ParkAve, OakSt, MainSt) WHERE [vehicle] WITHIN 4s SLIDE 1s",
+		"RETURN COUNT(*) PATTERN SEQ(ParkAve, OakSt, MainSt, WestSt) WHERE [vehicle] WITHIN 4s SLIDE 1s",
+		"RETURN COUNT(*) PATTERN SEQ(MainSt, StateSt) WHERE [vehicle] WITHIN 4s SLIDE 1s",
+		"RETURN COUNT(*) PATTERN SEQ(ElmSt, ParkAve) WHERE [vehicle] WITHIN 4s SLIDE 1s",
+		"RETURN COUNT(*) PATTERN SEQ(ElmSt, ParkAve) WHERE [vehicle] WITHIN 4s SLIDE 1s",
+	} {
+		w = append(w, query.MustParse(text, reg))
+	}
+	w.Renumber()
+	streets := []string{"OakSt", "MainSt", "ParkAve", "WestSt", "StateSt", "ElmSt"}
+	rng := rand.New(rand.NewSource(11))
+	stream := make(event.Stream, 3000)
+	for i := range stream {
+		stream[i] = event.Event{
+			Time: int64(i+1) * 5,
+			Type: reg.Lookup(streets[rng.Intn(len(streets))]),
+			Key:  event.GroupKey(rng.Intn(4)),
+			Val:  float64(rng.Intn(100)),
+		}
+	}
+	rates := core.Rates(stream.Rates())
+	for tp := range rates {
+		rates[tp] /= 4 // per vehicle: the engine partitions the stream by group
+	}
+	res, err := core.Optimize(w, rates, core.OptimizerOptions{Strategy: core.StrategySharon, Expand: true, Budget: 10 * time.Second})
+	must(t, err)
+
+	ref, err := NewEngine(w, nil, Options{Collect: true})
+	must(t, err)
+	runAll(t, ref, stream)
+	want := ref.Results()
+	if len(want) == 0 {
+		t.Fatal("A-Seq produced no results")
+	}
+
+	ts, err := NewTwoStep(w, Options{Collect: true})
+	must(t, err)
+	sp, err := NewSPASS(w, res.Plan, Options{Collect: true})
+	must(t, err)
+	sa, err := NewSASE(w, Options{Collect: true})
+	must(t, err)
+	for _, ex := range []interface {
+		Executor
+		Results() []Result
+	}{ts, sp, sa} {
+		runAll(t, ex, stream)
+		if msg := diffResults(want, ex.Results()); msg != "" {
+			t.Errorf("%s vs A-Seq: %s", ex.Name(), msg)
+		}
+	}
 }

@@ -122,12 +122,12 @@ func (en *Engine) AbsorbSlice(sl *EngineSnapshot) error {
 }
 
 // RemoveGroups deletes every group whose key satisfies drop and reports
-// how many were removed. Group state is per-group (aggregators, slabs,
+// how many were removed (the error is always nil on an Engine). Group state is per-group (aggregators, slabs,
 // and freelists are owned by the group's own aggregator instances), so
 // removal is a plain map delete; subsequent events for a removed key
 // would rebuild it from scratch — the caller (the cluster extract path)
 // re-routes those events away before removing.
-func (en *Engine) RemoveGroups(drop func(event.GroupKey) bool) int {
+func (en *Engine) RemoveGroups(drop func(event.GroupKey) bool) (int, error) {
 	n := 0
 	for k := range en.groups {
 		if drop(k) {
@@ -135,7 +135,7 @@ func (en *Engine) RemoveGroups(drop func(event.GroupKey) bool) int {
 			n++
 		}
 	}
-	return n
+	return n, nil
 }
 
 // GroupCount reports the number of live per-group runtimes.
@@ -155,27 +155,4 @@ func (p *Partitioned) GroupCount() int64 {
 		n += seg.engine.GroupCount()
 	}
 	return n
-}
-
-// GroupCount sums the shard's segment engines.
-func (s *segmentShard) GroupCount() int64 {
-	var n int64
-	for _, en := range s.engines {
-		n += en.GroupCount()
-	}
-	return n
-}
-
-// groupCounter is the optional group-occupancy contract of a
-// ShardTarget; all concrete targets implement it.
-type groupCounter interface{ GroupCount() int64 }
-
-// groupAbsorber/groupRemover are the optional cluster-rebalance
-// contracts of a ShardTarget. Only Engine implements them: dynamic and
-// segment shards cannot host group grafts (see SliceGroups).
-type groupAbsorber interface {
-	AbsorbSlice(*EngineSnapshot) error
-}
-type groupRemover interface {
-	RemoveGroups(func(event.GroupKey) bool) int
 }

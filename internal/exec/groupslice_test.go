@@ -82,7 +82,7 @@ func TestSliceAbsorbEquivalence(t *testing.T) {
 			// watermark, then B's groups move to A.
 			a.AdvanceWatermark(cutWM)
 			b.AdvanceWatermark(cutWM)
-			slice, err := SliceGroups(b.Snapshot(), func(event.GroupKey) bool { return true })
+			slice, err := SliceGroups(mustSnap(t, b), func(event.GroupKey) bool { return true })
 			must(t, err)
 			if len(slice.Groups) == 0 {
 				t.Fatal("empty slice")
@@ -177,7 +177,7 @@ func TestRemoveGroups(t *testing.T) {
 		must(t, en.Process(e))
 	}
 	before := en.GroupCount()
-	removed := en.RemoveGroups(func(k event.GroupKey) bool { return k < 3 })
+	removed, _ := en.RemoveGroups(func(k event.GroupKey) bool { return k < 3 })
 	if removed == 0 || en.GroupCount() != before-int64(removed) {
 		t.Fatalf("removed %d of %d groups, %d left", removed, before, en.GroupCount())
 	}
@@ -207,7 +207,7 @@ func TestAbsorbMisaligned(t *testing.T) {
 	for _, e := range stream[:150] {
 		must(t, b.Process(e))
 	}
-	slice, err := SliceGroups(b.Snapshot(), func(event.GroupKey) bool { return true })
+	slice, err := SliceGroups(mustSnap(t, b), func(event.GroupKey) bool { return true })
 	must(t, err)
 	if err := a.AbsorbSlice(slice); err == nil {
 		t.Fatal("misaligned absorb accepted")
@@ -227,7 +227,7 @@ func TestAbsorbDuplicateGroup(t *testing.T) {
 		must(t, a.Process(e))
 		must(t, b.Process(e))
 	}
-	slice, err := SliceGroups(b.Snapshot(), func(event.GroupKey) bool { return true })
+	slice, err := SliceGroups(mustSnap(t, b), func(event.GroupKey) bool { return true })
 	must(t, err)
 	if err := a.AbsorbSlice(slice); err == nil {
 		t.Fatal("duplicate-group absorb accepted")

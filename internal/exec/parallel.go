@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -21,19 +22,6 @@ import (
 // watermark once per dispatch round.
 const DefaultBatchSize = 256
 
-// ShardTarget is the contract a per-shard executor must satisfy to run
-// under Parallel. A target is driven from exactly one worker goroutine:
-// Process feeds it the shard's (strictly time-ordered) sub-stream,
-// AdvanceWatermark closes windows in step with the global stream when
-// the shard itself received no events, Flush closes the tail at end of
-// stream. Engine, Dynamic, and segmentShard implement it.
-type ShardTarget interface {
-	Process(e event.Event) error
-	AdvanceWatermark(t int64)
-	Flush() error
-	PeakLiveStates() int64
-}
-
 // ParallelConfig configures NewParallel.
 type ParallelConfig struct {
 	// Workers is the number of shard workers (goroutines). <1 means
@@ -52,8 +40,11 @@ type ParallelConfig struct {
 	// merge ordering key.
 	WinEnd func(Result) int64
 	// NewShard builds shard i's executor. The executor must deliver its
-	// results through sink (and nowhere else).
-	NewShard func(shard int, sink func(Result)) (ShardTarget, error)
+	// results through sink (and nowhere else). It is driven from exactly
+	// one worker goroutine: FeedBatch feeds it the shard's sub-stream,
+	// AdvanceWatermark closes windows in step with the global stream when
+	// the shard itself received no events, Flush closes the tail.
+	NewShard func(shard int, sink func(Result)) (Online, error)
 	// Name is the Executor.Name of the parallel run.
 	Name string
 }
@@ -105,15 +96,13 @@ type Parallel struct {
 	// are not pooled (no single owner to return them).
 	batchPool  sync.Pool
 	resultPool sync.Pool
-	// first is shard 0's target, kept for introspection (Explain).
-	first ShardTarget
 
 	started  bool
 	last     int64
 	pendingN int
 	closed   bool
 	// stopOnce makes teardown race-safe: the GC-backstop cleanup of an
-	// abandoned run (sharon.reclaimOnDrop) may call Stop from the
+	// abandoned run (see sharon.NewSystem) may call Stop from the
 	// cleanup goroutine while a last in-flight Flush tears down too.
 	stopOnce sync.Once
 
@@ -158,7 +147,7 @@ type shardMsg struct {
 	// once the message — ctl included — is fully processed, and the merge
 	// stage releases the barrier only after delivering every window the
 	// round made ready.
-	ctl func(ShardTarget) error
+	ctl func(Online) error
 	ack chan<- error
 }
 
@@ -185,7 +174,7 @@ type shardOut struct {
 type shardWorker struct {
 	id     int
 	in     chan shardMsg
-	target ShardTarget
+	target Online
 	// pool is the owning executor, for the shared batch/result pools.
 	pool *Parallel
 	// buf accumulates results between messages; the target's sink
@@ -199,12 +188,7 @@ type shardWorker struct {
 func (w *shardWorker) run(out chan<- shardOut) {
 	for msg := range w.in {
 		if w.err == nil {
-			for _, e := range msg.events {
-				if err := w.target.Process(e); err != nil {
-					w.err = err
-					break
-				}
-			}
+			w.err = w.target.FeedBatch(msg.events)
 			if w.err == nil && msg.hasWM {
 				w.target.AdvanceWatermark(msg.wm)
 			}
@@ -216,9 +200,10 @@ func (w *shardWorker) run(out chan<- shardOut) {
 		if msg.ctl != nil {
 			if w.err != nil {
 				ctlErr = w.err
-			} else if ctlErr = msg.ctl(w.target); ctlErr != nil {
+			} else if ctlErr = msg.ctl(w.target); ctlErr != nil && !errors.Is(ctlErr, ErrNoGroupSlices) {
 				// A half-applied graft leaves the shard inconsistent;
-				// poison the run rather than keep emitting from it.
+				// poison the run rather than keep emitting from it. A
+				// refusal touched nothing.
 				w.err = ctlErr
 			}
 		}
@@ -230,22 +215,15 @@ func (w *shardWorker) run(out chan<- shardOut) {
 		w.stats.Events.Add(int64(len(msg.events)))
 		w.stats.Batches.Add(1)
 		w.stats.Results.Add(int64(len(res)))
-		if gc, ok := w.target.(groupCounter); ok {
-			w.stats.Groups.Store(gc.GroupCount())
-		}
+		w.stats.Groups.Store(w.target.GroupCount())
 		// An errored shard must not acknowledge the watermark: its
 		// contributions to the frontier's windows are missing, and
 		// acking would let the merge emit them truncated.
 		out <- shardOut{shard: w.id, results: res, wm: msg.wm, hasWM: msg.hasWM && w.err == nil, flush: msg.flush, snap: msg.snap != nil || msg.ack != nil, err: w.err}
 		if msg.snap != nil {
-			sn := shardSnap{shard: w.id}
-			switch sp, ok := w.target.(shardPersist); {
-			case w.err != nil:
-				sn.err = w.err
-			case ok:
-				sn.s = sp.Snapshot()
-			default:
-				sn.err = fmt.Errorf("exec: shard %d target %T does not support snapshots", w.id, w.target)
+			sn := shardSnap{shard: w.id, err: w.err}
+			if sn.err == nil {
+				sn.s, sn.err = w.target.Snapshot()
 			}
 			msg.snap <- sn
 		}
@@ -303,7 +281,6 @@ func NewParallel(cfg ParallelConfig) (*Parallel, error) {
 		w.target = target
 		p.workers = append(p.workers, w)
 	}
-	p.first = p.workers[0].target
 	for _, w := range p.workers {
 		go w.run(p.out)
 	}
@@ -494,10 +471,6 @@ func (p *Parallel) doShutdown() {
 	p.elapsed = time.Since(p.startedAt)
 }
 
-// Flushed reports whether the executor has been torn down (by Flush or
-// Stop). Callers use it to gate post-run introspection of shard state.
-func (p *Parallel) Flushed() bool { return p.closed }
-
 func (p *Parallel) loadErr() error {
 	if v := p.errv.Load(); v != nil {
 		return v.(error)
@@ -611,7 +584,7 @@ func (p *Parallel) emitReady(buckets map[int64][]Result, limit int64) {
 // acknowledged and the merge stage delivered every window the round
 // made ready. mk may be nil (pure barrier) or return nil for shards
 // with no op. It reports the first shard error.
-func (p *Parallel) ctlRound(mk func(shard int) func(ShardTarget) error) error {
+func (p *Parallel) ctlRound(mk func(shard int) func(Online) error) error {
 	ack := make(chan error, len(p.workers))
 	for i, w := range p.workers {
 		batch := p.pending[i]
@@ -683,18 +656,12 @@ func (p *Parallel) AbsorbSlice(sl *EngineSnapshot) error {
 		s := shardOf(sl.Groups[i].Key, len(p.workers))
 		parts[s].Groups = append(parts[s].Groups, sl.Groups[i])
 	}
-	err := p.ctlRound(func(shard int) func(ShardTarget) error {
+	err := p.ctlRound(func(shard int) func(Online) error {
 		part := parts[shard]
 		if len(part.Groups) == 0 {
 			return nil
 		}
-		return func(t ShardTarget) error {
-			ab, ok := t.(groupAbsorber)
-			if !ok {
-				return fmt.Errorf("exec: shard %d target %T cannot absorb group slices", shard, t)
-			}
-			return ab.AbsorbSlice(part)
-		}
+		return func(t Online) error { return t.AbsorbSlice(part) }
 	})
 	if err != nil {
 		return err
@@ -720,14 +687,11 @@ func (p *Parallel) RemoveGroups(drop func(event.GroupKey) bool) (int, error) {
 		return 0, err
 	}
 	var removed atomic.Int64
-	err := p.ctlRound(func(shard int) func(ShardTarget) error {
-		return func(t ShardTarget) error {
-			rm, ok := t.(groupRemover)
-			if !ok {
-				return fmt.Errorf("exec: shard %d target %T cannot remove groups", shard, t)
-			}
-			removed.Add(int64(rm.RemoveGroups(drop)))
-			return nil
+	err := p.ctlRound(func(int) func(Online) error {
+		return func(t Online) error {
+			n, err := t.RemoveGroups(drop)
+			removed.Add(int64(n))
+			return err
 		}
 	})
 	return int(removed.Load()), err
@@ -762,13 +726,11 @@ func (p *Parallel) ResultCount() int64 { return p.count.Load() }
 // PeakLiveStates sums the shards' peaks; available after Flush.
 func (p *Parallel) PeakLiveStates() int64 { return p.peak }
 
-// Explain renders the per-query decomposition when the shards run the
-// online Engine (all shards share the same compiled form).
+// Explain renders shard 0's per-query decomposition. Group-hash shards
+// all share one compiled form; segment shards each hold different
+// segments, of which only the first worker's are shown.
 func (p *Parallel) Explain(reg *event.Registry) string {
-	if en, ok := p.first.(*Engine); ok {
-		return en.Explain(reg)
-	}
-	return ""
+	return p.workers[0].target.Explain(reg)
 }
 
 // Stats snapshots the run's throughput and shard-occupancy counters.
@@ -815,54 +777,17 @@ func NewParallelEngine(w query.Workload, plan core.Plan, workers int, opts Optio
 		Opts:    opts,
 		Name:    name,
 		WinEnd:  func(r Result) int64 { return win.End(r.Win) },
-		NewShard: func(_ int, sink func(Result)) (ShardTarget, error) {
+		NewShard: func(_ int, sink func(Result)) (Online, error) {
 			return NewEngine(w, plan, Options{EmitEmpty: opts.EmitEmpty, OnResult: sink})
 		},
 	})
 }
 
-// segmentShard is one worker's slice of a partitioned workload: the
-// segment engines assigned to it, all fed the full broadcast stream.
-type segmentShard struct {
-	engines []*Engine
-}
-
-func (s *segmentShard) Process(e event.Event) error {
-	for _, en := range s.engines {
-		if err := en.Process(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *segmentShard) AdvanceWatermark(t int64) {
-	for _, en := range s.engines {
-		en.AdvanceWatermark(t)
-	}
-}
-
-func (s *segmentShard) Flush() error {
-	for _, en := range s.engines {
-		if err := en.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *segmentShard) PeakLiveStates() int64 {
-	var n int64
-	for _, en := range s.engines {
-		n += en.PeakLiveStates()
-	}
-	return n
-}
-
 // NewParallelPartitioned builds a segment-sharded partitioned executor
 // from pre-planned segments (PlanSegments): the workload's uniform
-// segments (paper §7.2) are distributed round-robin across at most
-// workers worker goroutines and fed the full stream by broadcast.
+// segments (paper §7.2) are dealt round-robin to at most workers worker
+// goroutines, each running a Partitioned over its share, and every
+// worker is fed the full stream by broadcast.
 func NewParallelPartitioned(specs []SegmentSpec, workers int, opts Options) (*Parallel, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("exec: no segments")
@@ -885,19 +810,12 @@ func NewParallelPartitioned(specs []SegmentSpec, workers int, opts Options) (*Pa
 		Broadcast: true,
 		Name:      "Sharon-partitioned-parallel",
 		WinEnd:    func(r Result) int64 { return qwin[r.Query].End(r.Win) },
-		NewShard: func(shard int, sink func(Result)) (ShardTarget, error) {
-			sh := &segmentShard{}
+		NewShard: func(shard int, sink func(Result)) (Online, error) {
+			var mine []SegmentSpec
 			for j := shard; j < len(specs); j += workers {
-				en, err := NewEngine(specs[j].Workload, specs[j].Plan, Options{
-					EmitEmpty: opts.EmitEmpty,
-					OnResult:  sink,
-				})
-				if err != nil {
-					return nil, err
-				}
-				sh.engines = append(sh.engines, en)
+				mine = append(mine, specs[j])
 			}
-			return sh, nil
+			return NewPartitionedFromSpecs(mine, Options{EmitEmpty: opts.EmitEmpty, OnResult: sink})
 		},
 	})
 }
@@ -937,7 +855,7 @@ func NewParallelDynamic(w query.Workload, rates core.Rates, workers int, cfg Dyn
 		Opts:    cfg.Options,
 		Name:    "Sharon-dynamic-parallel",
 		WinEnd:  func(r Result) int64 { return win.End(r.Win) },
-		NewShard: func(shard int, sink func(Result)) (ShardTarget, error) {
+		NewShard: func(shard int, sink func(Result)) (Online, error) {
 			c := cfg
 			c.Options = Options{EmitEmpty: cfg.EmitEmpty, OnResult: sink}
 			if cfg.OnMigrate != nil {

@@ -22,11 +22,13 @@ import (
 //
 // Parallel execution: segments are mutually independent (nothing is
 // shared across them), so they form the second natural sharding axis —
-// NewParallelPartitioned distributes the segment engines across worker
-// goroutines and broadcasts the stream, each worker evaluating only its
-// own segments.
+// NewParallelPartitioned deals the segments out to worker goroutines,
+// each running a Partitioned over its own share, and broadcasts the
+// stream.
 type Partitioned struct {
 	resultSink
+	sequential
+	noGroupSlices
 	segments []*partSegment
 	// qwin maps query ID to its window for the merge ordering key.
 	qwin map[int]query.Window
@@ -87,30 +89,24 @@ func PartitionWorkload(w query.Workload) []query.Workload {
 }
 
 // SegmentSpec is one uniform segment of a partitioned workload together
-// with the sharing plan its optimizer run chose.
+// with the sharing plan its optimizer run chose and that plan's
+// estimated benefit (Definition 8).
 type SegmentSpec struct {
 	Workload query.Workload
 	Plan     core.Plan
+	Score    float64
 }
 
-// PlanSegments partitions the workload into uniform segments and runs
-// the optimizer once per segment. Both the sequential Partitioned
-// executor and the parallel segment-sharded executor build from these
-// specs.
-func PlanSegments(w query.Workload, rates core.Rates, optOpts core.OptimizerOptions) ([]SegmentSpec, error) {
-	if len(w) == 0 {
-		return nil, fmt.Errorf("exec: empty workload")
-	}
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("exec: %w", err)
-	}
-	var specs []SegmentSpec
-	for _, seg := range PartitionWorkload(w) {
+// PlanSegments runs the optimizer once per uniform segment (see
+// PartitionWorkload). Every online executor builds from these specs.
+func PlanSegments(segs []query.Workload, rates core.Rates, optOpts core.OptimizerOptions) ([]SegmentSpec, error) {
+	specs := make([]SegmentSpec, len(segs))
+	for i, seg := range segs {
 		res, err := core.Optimize(seg, rates, optOpts)
 		if err != nil {
-			return nil, fmt.Errorf("exec: partition optimize: %w", err)
+			return nil, fmt.Errorf("exec: optimize segment %d: %w", i, err)
 		}
-		specs = append(specs, SegmentSpec{Workload: seg, Plan: res.Plan})
+		specs[i] = SegmentSpec{Workload: seg, Plan: res.Plan, Score: res.Score}
 	}
 	return specs, nil
 }
@@ -119,7 +115,13 @@ func PlanSegments(w query.Workload, rates core.Rates, optOpts core.OptimizerOpti
 // shared engine per uniform segment. optOpts configures the per-segment
 // optimizer (StrategyNone yields a partitioned A-Seq).
 func NewPartitioned(w query.Workload, rates core.Rates, opts Options, optOpts core.OptimizerOptions) (*Partitioned, error) {
-	specs, err := PlanSegments(w, rates, optOpts)
+	if len(w) == 0 {
+		return nil, fmt.Errorf("exec: empty workload")
+	}
+	if err := w.Validate(); err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
+	}
+	specs, err := PlanSegments(PartitionWorkload(w), rates, optOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -198,6 +200,16 @@ func (p *Partitioned) Process(e event.Event) error {
 	return nil
 }
 
+// FeedBatch feeds a strictly time-ordered batch.
+func (p *Partitioned) FeedBatch(events []event.Event) error {
+	for _, e := range events {
+		if err := p.Process(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AdvanceWatermark closes every window ending at or before t in every
 // segment without consuming an event (see Engine.AdvanceWatermark).
 func (p *Partitioned) AdvanceWatermark(t int64) {
@@ -229,4 +241,14 @@ func (p *Partitioned) PeakLiveStates() int64 {
 		n += s.engine.PeakLiveStates()
 	}
 	return n
+}
+
+// Explain renders every segment's per-query decomposition, in segment
+// order.
+func (p *Partitioned) Explain(reg *event.Registry) string {
+	var b strings.Builder
+	for _, s := range p.segments {
+		b.WriteString(s.engine.Explain(reg))
+	}
+	return b.String()
 }

@@ -194,7 +194,7 @@ func TestStateReductionSnapshotRoundTrip(t *testing.T) {
 		for _, e := range stream[:cut] {
 			must(t, first.Process(e))
 		}
-		snap := first.Snapshot()
+		snap := mustSnap(t, first)
 
 		second, err := NewEngine(w, plan, Options{OnResult: log.sink})
 		must(t, err)

@@ -30,7 +30,8 @@ const (
 	KindParallel    = "parallel"
 	KindPartitioned = "partitioned"
 	KindDynamic     = "dynamic"
-	KindSegments    = "segments"
+	// KindSegments is read, never written: see Partitioned.Restore.
+	KindSegments = "segments"
 )
 
 // SystemSnapshot is the sum of all executor snapshot shapes: exactly one
@@ -88,9 +89,9 @@ type SnapEntrySnapshot struct {
 	Up    agg.State
 }
 
-// PartitionedSnapshot is the state of a sequential Partitioned executor
-// (and of one parallel worker's segment shard): the segment engines'
-// snapshots in segment order.
+// PartitionedSnapshot is the state of a Partitioned executor, whether it
+// runs alone or as one parallel worker's share of the segments: the
+// segment engines' snapshots in segment order.
 type PartitionedSnapshot struct {
 	Started     bool
 	Last        int64
@@ -147,8 +148,13 @@ type ParallelSnapshot struct {
 // --- Engine ---
 
 // Snapshot captures the engine's logical state. The engine must be
-// quiesced (no Process in flight); the caller owns the goroutine.
-func (en *Engine) Snapshot() *SystemSnapshot {
+// quiesced (no Process in flight); the caller owns the goroutine. The
+// error is always nil: sequential emission leaves nothing to wait for.
+func (en *Engine) Snapshot() (*SystemSnapshot, error) {
+	return &SystemSnapshot{Kind: KindEngine, Engine: en.snapshotState()}, nil
+}
+
+func (en *Engine) snapshotState() *EngineSnapshot {
 	es := &EngineSnapshot{
 		Started:     en.started,
 		LastTime:    en.lastTime,
@@ -165,7 +171,7 @@ func (en *Engine) Snapshot() *SystemSnapshot {
 	for _, k := range keys {
 		es.Groups = append(es.Groups, en.snapshotGroup(en.groups[k]))
 	}
-	return &SystemSnapshot{Kind: KindEngine, Engine: es}
+	return es
 }
 
 func (en *Engine) snapshotGroup(g *engineGroup) GroupSnapshot {
@@ -219,7 +225,10 @@ func (en *Engine) Restore(s *SystemSnapshot) error {
 	if s.Kind != KindEngine || s.Engine == nil {
 		return fmt.Errorf("exec: engine restore from %q snapshot", s.Kind)
 	}
-	es := s.Engine
+	return en.restoreState(s.Engine)
+}
+
+func (en *Engine) restoreState(es *EngineSnapshot) error {
 	if en.started {
 		return fmt.Errorf("exec: Restore on a started engine")
 	}
@@ -287,18 +296,20 @@ func (en *Engine) restoreGroup(gs *GroupSnapshot) error {
 
 // Snapshot captures the partitioned executor's state: every segment
 // engine in segment order.
-func (p *Partitioned) Snapshot() *SystemSnapshot {
+func (p *Partitioned) Snapshot() (*SystemSnapshot, error) {
 	ps := &PartitionedSnapshot{Started: p.started, Last: p.last, ResultCount: p.count}
 	for _, seg := range p.segments {
-		ps.Segments = append(ps.Segments, seg.engine.Snapshot().Engine)
+		ps.Segments = append(ps.Segments, seg.engine.snapshotState())
 	}
-	return &SystemSnapshot{Kind: KindPartitioned, Partitioned: ps}
+	return &SystemSnapshot{Kind: KindPartitioned, Partitioned: ps}, nil
 }
 
 // Restore loads a partitioned snapshot into a freshly constructed
-// executor built from the same segment specs.
+// executor built from the same segment specs. It also accepts the
+// KindSegments form earlier builds wrote for one parallel worker's
+// segments, which carries the segment engines but no stream position.
 func (p *Partitioned) Restore(s *SystemSnapshot) error {
-	if s.Kind != KindPartitioned || s.Partitioned == nil {
+	if (s.Kind != KindPartitioned && s.Kind != KindSegments) || s.Partitioned == nil {
 		return fmt.Errorf("exec: partitioned restore from %q snapshot", s.Kind)
 	}
 	ps := s.Partitioned
@@ -309,11 +320,16 @@ func (p *Partitioned) Restore(s *SystemSnapshot) error {
 		return fmt.Errorf("exec: snapshot has %d segments, executor has %d", len(ps.Segments), len(p.segments))
 	}
 	for i, seg := range p.segments {
-		if err := seg.engine.Restore(&SystemSnapshot{Kind: KindEngine, Engine: ps.Segments[i]}); err != nil {
+		if err := seg.engine.restoreState(ps.Segments[i]); err != nil {
 			return fmt.Errorf("exec: segment %d: %w", i, err)
 		}
 	}
 	p.started, p.last, p.count = ps.Started, ps.Last, ps.ResultCount
+	if s.Kind == KindSegments {
+		// Every segment engine sees the whole stream, so any of them
+		// holds the position the executor itself was at.
+		p.started, p.last = p.segments[0].engine.started, p.segments[0].engine.lastTime
+	}
 	return nil
 }
 
@@ -321,7 +337,7 @@ func (p *Partitioned) Restore(s *SystemSnapshot) error {
 
 // Snapshot captures the dynamic executor's state, including the
 // rate-drift counters and — mid-migration — the draining engine.
-func (d *Dynamic) Snapshot() *SystemSnapshot {
+func (d *Dynamic) Snapshot() (*SystemSnapshot, error) {
 	ds := &DynamicSnapshot{
 		Started:     d.started,
 		Last:        d.last,
@@ -334,12 +350,12 @@ func (d *Dynamic) Snapshot() *SystemSnapshot {
 		NextCheck:   d.nextCheck,
 		Boundary:    d.boundary,
 		CurrentFrom: d.currentFrom,
-		Current:     d.current.Snapshot().Engine,
+		Current:     d.current.snapshotState(),
 	}
 	if d.draining != nil {
 		ds.DrainPlan = d.drainPlan.Clone()
 		ds.DrainFrom = d.drainFrom
-		ds.Draining = d.draining.Snapshot().Engine
+		ds.Draining = d.draining.snapshotState()
 	}
 	ds.ShareTransitions = d.ShareTransitions
 	ds.SplitTransitions = d.SplitTransitions
@@ -348,7 +364,7 @@ func (d *Dynamic) Snapshot() *SystemSnapshot {
 		ds.BurstBaseline = d.detector.Baseline()
 		ds.BurstState = int(d.detector.State())
 	}
-	return &SystemSnapshot{Kind: KindDynamic, Dynamic: ds}
+	return &SystemSnapshot{Kind: KindDynamic, Dynamic: ds}, nil
 }
 
 // Restore loads a dynamic snapshot into a freshly constructed executor
@@ -366,7 +382,7 @@ func (d *Dynamic) Restore(s *SystemSnapshot) error {
 	if err != nil {
 		return err
 	}
-	if err := cur.Restore(&SystemSnapshot{Kind: KindEngine, Engine: ds.Current}); err != nil {
+	if err := cur.restoreState(ds.Current); err != nil {
 		return fmt.Errorf("exec: dynamic current engine: %w", err)
 	}
 	d.current = cur
@@ -377,7 +393,7 @@ func (d *Dynamic) Restore(s *SystemSnapshot) error {
 		if err != nil {
 			return err
 		}
-		if err := old.Restore(&SystemSnapshot{Kind: KindEngine, Engine: ds.Draining}); err != nil {
+		if err := old.restoreState(ds.Draining); err != nil {
 			return fmt.Errorf("exec: dynamic draining engine: %w", err)
 		}
 		d.draining = old
@@ -429,13 +445,6 @@ func cloneCounts(c map[event.Type]float64) map[event.Type]float64 {
 }
 
 // --- Parallel ---
-
-// shardPersist is the snapshot contract of a ShardTarget; all three
-// concrete targets (Engine, Dynamic, segmentShard) implement it.
-type shardPersist interface {
-	Snapshot() *SystemSnapshot
-	Restore(*SystemSnapshot) error
-}
 
 // Snapshot captures the parallel executor's state under a quiesced
 // barrier: the feeder dispatches every pending batch stamped with the
@@ -511,48 +520,15 @@ func (p *Parallel) Restore(s *SystemSnapshot) error {
 		return fmt.Errorf("exec: snapshot has %d shards, executor has %d workers (restore requires the same parallelism)", len(ps.Shards), len(p.workers))
 	}
 	for i, w := range p.workers {
-		sp, ok := w.target.(shardPersist)
-		if !ok {
-			return fmt.Errorf("exec: shard %d target %T does not support restore", i, w.target)
-		}
 		if ps.Shards[i] == nil {
 			return fmt.Errorf("exec: snapshot shard %d missing", i)
 		}
-		if err := sp.Restore(ps.Shards[i]); err != nil {
+		if err := w.target.Restore(ps.Shards[i]); err != nil {
 			return fmt.Errorf("exec: shard %d: %w", i, err)
 		}
 	}
 	p.started = ps.Started
 	p.last = ps.Last
 	p.count.Store(ps.ResultCount)
-	return nil
-}
-
-// --- segment shard (parallel partitioned worker) ---
-
-// Snapshot serializes the shard's segment engines in assignment order.
-func (s *segmentShard) Snapshot() *SystemSnapshot {
-	ps := &PartitionedSnapshot{}
-	for _, en := range s.engines {
-		ps.Segments = append(ps.Segments, en.Snapshot().Engine)
-	}
-	return &SystemSnapshot{Kind: KindSegments, Partitioned: ps}
-}
-
-// Restore loads a segment-shard snapshot produced by the same segment
-// assignment (same specs, same worker count).
-func (s *segmentShard) Restore(snap *SystemSnapshot) error {
-	if snap.Kind != KindSegments || snap.Partitioned == nil {
-		return fmt.Errorf("exec: segment shard restore from %q snapshot", snap.Kind)
-	}
-	ps := snap.Partitioned
-	if len(ps.Segments) != len(s.engines) {
-		return fmt.Errorf("exec: snapshot has %d segment engines, shard has %d", len(ps.Segments), len(s.engines))
-	}
-	for i, en := range s.engines {
-		if err := en.Restore(&SystemSnapshot{Kind: KindEngine, Engine: ps.Segments[i]}); err != nil {
-			return fmt.Errorf("exec: segment engine %d: %w", i, err)
-		}
-	}
 	return nil
 }

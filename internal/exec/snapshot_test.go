@@ -44,6 +44,16 @@ func assertSameEmission(t *testing.T, want, got []Result, label string) {
 	}
 }
 
+// mustSnap snapshots any online executor, failing the test on error.
+func mustSnap(t testing.TB, ex Online) *SystemSnapshot {
+	t.Helper()
+	snap, err := ex.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	return snap
+}
+
 // TestEngineSnapshotRestoreEquivalence cuts a sequential run at several
 // points: snapshot, restore into a fresh engine, feed the tail, and
 // require the concatenated emission to be byte-identical to an
@@ -68,7 +78,7 @@ func TestEngineSnapshotRestoreEquivalence(t *testing.T) {
 				for _, e := range stream[:cut] {
 					must(t, first.Process(e))
 				}
-				snap := first.Snapshot()
+				snap := mustSnap(t, first)
 
 				second, err := NewEngine(w, plans.p, Options{OnResult: log.sink})
 				must(t, err)
@@ -95,11 +105,11 @@ func TestEngineSnapshotRoundTripStable(t *testing.T) {
 	for _, e := range stream[:len(stream)/2] {
 		must(t, en.Process(e))
 	}
-	snap := en.Snapshot()
+	snap := mustSnap(t, en)
 	en2, err := NewEngine(w, plan, Options{})
 	must(t, err)
 	must(t, en2.Restore(snap))
-	again := en2.Snapshot()
+	again := mustSnap(t, en2)
 	assertEqualSnapshots(t, snap, again)
 }
 
@@ -219,7 +229,7 @@ func TestPartitionedSnapshotRestoreEquivalence(t *testing.T) {
 	w, stream := mixedWorkload(t)
 	rates := core.Rates(stream.Rates())
 	optOpts := core.OptimizerOptions{Strategy: core.StrategySharon, Expand: true, Budget: time.Second}
-	specs, err := PlanSegments(w, rates, optOpts)
+	specs, err := PlanSegments(PartitionWorkload(w), rates, optOpts)
 	must(t, err)
 	cut := len(stream) / 2
 
@@ -235,7 +245,7 @@ func TestPartitionedSnapshotRestoreEquivalence(t *testing.T) {
 		for _, e := range stream[:cut] {
 			must(t, first.Process(e))
 		}
-		snap := first.Snapshot()
+		snap := mustSnap(t, first)
 		second, err := NewPartitionedFromSpecs(specs, Options{OnResult: log.sink})
 		must(t, err)
 		must(t, second.Restore(snap))
@@ -254,19 +264,45 @@ func TestPartitionedSnapshotRestoreEquivalence(t *testing.T) {
 		must(t, pr.FeedBatch(stream))
 		must(t, pr.Flush())
 
-		log := &emissionLog{}
-		first, err := NewParallelPartitioned(specs, workers, Options{OnResult: log.sink})
-		must(t, err)
-		must(t, first.FeedBatch(stream[:cut]))
-		snap, err := first.Snapshot()
-		must(t, err)
-		first.Stop()
-		second, err := NewParallelPartitioned(specs, workers, Options{OnResult: log.sink})
-		must(t, err)
-		must(t, second.Restore(snap))
-		must(t, second.FeedBatch(stream[cut:]))
-		must(t, second.Flush())
-		assertSameEmission(t, ref.results(), log.results(), "partitioned parallel")
+		// legacy rewrites the shard snapshots into the KindSegments form
+		// earlier builds checkpointed (segment engines only, no stream
+		// position), which must keep restoring.
+		for _, legacy := range []bool{false, true} {
+			log := &emissionLog{}
+			first, err := NewParallelPartitioned(specs, workers, Options{OnResult: log.sink})
+			must(t, err)
+			must(t, first.FeedBatch(stream[:cut]))
+			snap, err := first.Snapshot()
+			must(t, err)
+			first.Stop()
+			label := "partitioned parallel"
+			if legacy {
+				label += ", legacy shard snapshots"
+				for _, sh := range snap.Parallel.Shards {
+					sh.Kind = KindSegments
+					sh.Partitioned = &PartitionedSnapshot{Segments: sh.Partitioned.Segments}
+				}
+			}
+			// A watermark closes windows only on shards that know the
+			// stream had started: the restored position must be live.
+			var closed int
+			probe, err := NewParallelPartitioned(specs, workers, Options{OnResult: func(Result) { closed++ }})
+			must(t, err)
+			must(t, probe.Restore(snap))
+			probe.AdvanceWatermark(stream[len(stream)-1].Time)
+			must(t, probe.Quiesce())
+			probe.Stop()
+			if closed == 0 {
+				t.Errorf("%s: a watermark after restore closed no window", label)
+			}
+
+			second, err := NewParallelPartitioned(specs, workers, Options{OnResult: log.sink})
+			must(t, err)
+			must(t, second.Restore(snap))
+			must(t, second.FeedBatch(stream[cut:]))
+			must(t, second.Flush())
+			assertSameEmission(t, ref.results(), log.results(), label)
+		}
 	})
 }
 
@@ -328,7 +364,7 @@ func TestDynamicSnapshotRestoreEquivalence(t *testing.T) {
 		for _, e := range stream[:cut] {
 			must(t, first.Process(e))
 		}
-		snap := first.Snapshot()
+		snap := mustSnap(t, first)
 
 		second, err := NewDynamic(w, rates, firstCfg)
 		must(t, err)
@@ -366,7 +402,7 @@ func TestHotPathAllocsWithCheckpoint(t *testing.T) {
 	// allocates (it serializes state), but the subsequent processing must
 	// stay on the zero-allocation path.
 	for i := 0; i < 3; i++ {
-		_ = r.en.Snapshot()
+		_, _ = r.en.Snapshot()
 		after := testing.AllocsPerRun(5, func() { r.feed(t, chunk) }) / chunk
 		if after > got {
 			got = after

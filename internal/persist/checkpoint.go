@@ -60,7 +60,7 @@ type Checkpoint struct {
 	// Parallelism is the engine worker count the snapshot was taken
 	// under; restore requires the same setting.
 	Parallelism int
-	// Dynamic records whether the engine is a DynamicSystem.
+	// Dynamic records whether the engine runs with sharon.Options.Dynamic.
 	Dynamic bool
 	// RegistryNames are the interned type names in interning order; the
 	// WAL encodes events by interned Type, so the order is load-bearing.

@@ -45,23 +45,18 @@ type ExtractRequest struct {
 	Target string   `json:"target"`
 }
 
-// clusterApplicable reports whether a cluster hand-off can run now, and
-// the group-capable engine when it can.
-func (s *Server) clusterApplicable() (groupHost, *ctlError) {
+// clusterApplicable reports whether a cluster hand-off can run now.
+func (s *Server) clusterApplicable() *ctlError {
 	if s.old != nil {
-		return nil, ctlErrf(http.StatusConflict, "live workload change still draining; retry after its boundary closes")
+		return ctlErrf(http.StatusConflict, "live workload change still draining; retry after its boundary closes")
 	}
-	if !s.cur.uniform || s.cfg.Dynamic {
-		return nil, ctlErrf(http.StatusConflict, "cluster rebalancing requires a uniform non-dynamic workload")
-	}
-	gh, ok := s.cur.eng.(groupHost)
-	if !ok {
-		return nil, ctlErrf(http.StatusConflict, "engine kind %T cannot host group hand-offs", s.cur.eng)
+	if s.cur.sys.Segments() != 1 || s.cfg.Dynamic {
+		return ctlErrf(http.StatusConflict, "cluster rebalancing requires a uniform non-dynamic workload")
 	}
 	if !s.cur.entries[0].Q.GroupBy {
-		return nil, ctlErrf(http.StatusConflict, "cluster rebalancing requires a grouped workload (ungrouped state cannot be hash-partitioned)")
+		return ctlErrf(http.StatusConflict, "cluster rebalancing requires a grouped workload (ungrouped state cannot be hash-partitioned)")
 	}
-	return gh, nil
+	return nil
 }
 
 // applyExtract cuts the requested range on the pump goroutine.
@@ -70,8 +65,7 @@ func (s *Server) clusterApplicable() (groupHost, *ctlError) {
 func (s *Server) applyExtract(req *ctlReq) {
 	x := req.extract
 	fail := func(ce *ctlError) { req.reply <- ctlReply{status: ce.status, body: map[string]string{"error": ce.msg}} }
-	gh, ce := s.clusterApplicable()
-	if ce != nil {
+	if ce := s.clusterApplicable(); ce != nil {
 		fail(ce)
 		return
 	}
@@ -89,7 +83,7 @@ func (s *Server) applyExtract(req *ctlReq) {
 
 	// Quiesced snapshot first (Snapshot barriers the parallel executor),
 	// then slice. Nothing is mutated until the WAL record is durable.
-	snap, err := s.cur.eng.Snapshot()
+	snap, err := s.cur.sys.Snapshot()
 	if err != nil {
 		fail(ctlErrf(http.StatusInternalServerError, "snapshot: %v", err))
 		return
@@ -113,7 +107,7 @@ func (s *Server) applyExtract(req *ctlReq) {
 		}
 		s.appliedSeq = seq
 	}
-	if _, err := gh.RemoveGroups(moved); err != nil {
+	if _, err := s.cur.sys.RemoveGroups(moved); err != nil {
 		s.fail(err)
 		fail(ctlErrf(http.StatusInternalServerError, "remove: %v", err))
 		return
@@ -133,15 +127,14 @@ func (s *Server) applyExtract(req *ctlReq) {
 
 // replayExtract re-applies a logged extraction during WAL recovery.
 func (s *Server) replayExtract(rec persist.ExtractRecord) error {
-	gh, ce := s.clusterApplicable()
-	if ce != nil {
+	if ce := s.clusterApplicable(); ce != nil {
 		return fmt.Errorf("replay extract: %s", ce.msg)
 	}
 	drop := make(map[sharon.GroupKey]bool, len(rec.Keys))
 	for _, k := range rec.Keys {
 		drop[k] = true
 	}
-	_, err := gh.RemoveGroups(func(k sharon.GroupKey) bool { return drop[k] })
+	_, err := s.cur.sys.RemoveGroups(func(k sharon.GroupKey) bool { return drop[k] })
 	return err
 }
 
@@ -151,7 +144,7 @@ func (s *Server) replayExtract(rec persist.ExtractRecord) error {
 func (s *Server) applyAdopt(req *ctlReq) {
 	a := req.adopt
 	fail := func(ce *ctlError) { req.reply <- ctlReply{status: ce.status, body: map[string]string{"error": ce.msg}} }
-	if _, ce := s.clusterApplicable(); ce != nil {
+	if ce := s.clusterApplicable(); ce != nil {
 		fail(ce)
 		return
 	}
@@ -209,7 +202,7 @@ func (s *Server) adoptApply(a *persist.AdoptRecord) (groups int, regen int64, er
 	// (live: the pre-adopt punctuation already quiesced; WAL replay has
 	// no punctuation), and the regenerated emissions below must take
 	// strictly later seqs than everything at or below the watermark.
-	if err := s.cur.eng.Quiesce(); err != nil {
+	if err := s.cur.sys.Quiesce(); err != nil {
 		return 0, 0, fmt.Errorf("quiesce: %w", err)
 	}
 	w := workloadOf(s.cur.entries)
@@ -278,11 +271,7 @@ func (s *Server) adoptApply(a *persist.AdoptRecord) (groups int, regen int64, er
 	if err != nil {
 		return 0, 0, err
 	}
-	gh, ce := s.clusterApplicable()
-	if ce != nil {
-		return 0, 0, fmt.Errorf("%s", ce.msg)
-	}
-	if err := gh.AbsorbGroups(caught); err != nil {
+	if err := s.cur.sys.AbsorbGroups(caught); err != nil {
 		return 0, 0, fmt.Errorf("absorb: %w", err)
 	}
 	if a.TargetWM > s.wmState {
@@ -298,7 +287,7 @@ func (s *Server) adoptApply(a *persist.AdoptRecord) (groups int, regen int64, er
 // regenerated emissions repeat with the same sequence numbers, keeping
 // the replay ring contiguous across a crash mid-rebalance.
 func (s *Server) replayAdopt(rec persist.AdoptRecord) error {
-	if _, ce := s.clusterApplicable(); ce != nil {
+	if ce := s.clusterApplicable(); ce != nil {
 		return fmt.Errorf("replay adopt: %s", ce.msg)
 	}
 	_, _, err := s.adoptApply(&rec)

@@ -109,8 +109,8 @@ func (s *Server) initDurability() error {
 		return fail(fmt.Errorf("server: rebuild from checkpoint: %w", err))
 	}
 	if ck.State != nil {
-		if err := cur.eng.Restore(ck.State); err != nil {
-			cur.eng.Close()
+		if err := cur.sys.Restore(ck.State); err != nil {
+			cur.sys.Close()
 			return fail(fmt.Errorf("server: restore engine state: %w", err))
 		}
 	}
@@ -218,7 +218,7 @@ func (s *Server) checkpoint(final bool) {
 		s.cfg.Logf("checkpoint: wal sync: %v", err)
 		return
 	}
-	snap, err := s.cur.eng.Snapshot()
+	snap, err := s.cur.sys.Snapshot()
 	if err != nil {
 		s.cfg.Logf("checkpoint: snapshot: %v", err)
 		return

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	sharon "github.com/sharon-project/sharon"
+	"github.com/sharon-project/sharon/internal/exec"
 	"github.com/sharon-project/sharon/internal/persist"
 )
 
@@ -118,7 +119,7 @@ func (s *Server) editEntries(add []string, remove []int, assigned []int) ([]quer
 		// predicates) would reinterpret that index and emit windows that
 		// miss their pre-registration events. Enforce uniformity against
 		// the running system, not just within the new workload.
-		if !uniform(sharon.Workload{s.cur.entries[0].Q, q}) {
+		if len(exec.PartitionWorkload(sharon.Workload{s.cur.entries[0].Q, q})) != 1 {
 			return nil, nil, ctlErrf(http.StatusBadRequest,
 				"query %q does not match the running workload's window/grouping/predicates (live registration requires a uniform workload)", text)
 		}
@@ -182,7 +183,7 @@ func (s *Server) buildNextWorkload(entries []queryEntry, rates sharon.Rates, pla
 func (s *Server) installWorkload(entries []queryEntry, boundary int64, next *builtSystem) {
 	if boundary == 0 {
 		// Nothing was ever fed: replace outright, nothing to drain.
-		s.cur.eng.Close()
+		s.cur.sys.Close()
 	} else {
 		s.cur.sink.hi.Store(boundary)
 		s.old = s.cur
@@ -200,7 +201,7 @@ func (s *Server) ctlApplicable() *ctlError {
 	if s.old != nil {
 		return ctlErrf(http.StatusConflict, "previous workload change still draining; retry after its boundary closes")
 	}
-	if !s.cur.uniform {
+	if s.cur.sys.Segments() != 1 {
 		return ctlErrf(http.StatusConflict, "live registration requires a uniform workload (same window, grouping, predicates)")
 	}
 	return nil
@@ -243,7 +244,7 @@ func (s *Server) applyCtl(req *ctlReq) {
 		rec := persist.CtlRecord{Add: req.add, Remove: req.remove, AssignedIDs: assigned, Plan: plan}
 		seq, werr := s.wal.Append(persist.RecCtl, persist.EncodeCtlRecord(rec))
 		if werr != nil {
-			next.eng.Close()
+			next.sys.Close()
 			s.fail(werr)
 			fail(ctlErrf(http.StatusInternalServerError, "wal: %v", werr))
 			return

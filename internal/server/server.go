@@ -45,11 +45,12 @@ type Config struct {
 	// sharon.Options.Parallelism; 1 = sequential, the default here —
 	// deterministic push order across live workload changes).
 	Parallelism int
-	// Dynamic backs uniform workloads with a DynamicSystem, which also
-	// re-optimizes the plan when measured event rates drift mid-stream.
+	// Dynamic sets sharon.Options.Dynamic: the system also re-optimizes
+	// the plan when measured event rates drift mid-stream. Requires a
+	// uniform workload.
 	Dynamic bool
-	// Adaptive switches the dynamic system to per-burst share-vs-split
-	// decisions (sharon.DynamicOptions.Adaptive); implies Dynamic. The
+	// Adaptive switches Dynamic to per-burst share-vs-split decisions
+	// (sharon.DynamicOptions.Adaptive); implies Dynamic. The
 	// detector state and transition counters surface on /metrics.
 	Adaptive bool
 
@@ -386,8 +387,8 @@ func (s *Server) publishView() {
 	v := &workloadView{
 		entries: append([]queryEntry(nil), s.cur.entries...),
 		queries: make(map[int]*sharon.Query, len(s.cur.entries)),
-		uniform: s.cur.uniform,
-		score:   s.cur.score,
+		uniform: s.cur.sys.Segments() == 1,
+		score:   s.cur.sys.PlanScore(),
 	}
 	for _, e := range s.cur.entries {
 		v.queries[e.ID] = e.Q
@@ -549,12 +550,12 @@ func (s *Server) punctuate() {
 		return
 	}
 	if s.old != nil {
-		if err := s.old.eng.Quiesce(); err != nil {
+		if err := s.old.sys.Quiesce(); err != nil {
 			s.fail(err)
 			return
 		}
 	}
-	if err := s.cur.eng.Quiesce(); err != nil {
+	if err := s.cur.sys.Quiesce(); err != nil {
 		s.fail(err)
 		return
 	}
@@ -593,9 +594,9 @@ func (s *Server) applyBatch(events []sharon.Event, wm int64) {
 		// the boundary, so a watermark straddling a migration must emit
 		// them before the current system's.
 		if s.old != nil {
-			s.old.eng.AdvanceWatermark(wm)
+			s.old.sys.AdvanceWatermark(wm)
 		}
-		s.cur.eng.AdvanceWatermark(wm)
+		s.cur.sys.AdvanceWatermark(wm)
 	}
 	s.completeHandoff()
 	s.publishEngineStats(false)
@@ -605,11 +606,11 @@ func (s *Server) applyBatch(events []sharon.Event, wm int64) {
 // system and — during a live workload change — the draining one.
 func (s *Server) feed(events []sharon.Event) error {
 	if s.old != nil {
-		if err := s.old.eng.FeedBatch(events); err != nil {
+		if err := s.old.sys.FeedBatch(events); err != nil {
 			return err
 		}
 	}
-	return s.cur.eng.FeedBatch(events)
+	return s.cur.sys.FeedBatch(events)
 }
 
 // clampWatermarkFrom bounds a requested watermark to the given stream
@@ -639,10 +640,10 @@ func (s *Server) completeHandoff() {
 	if s.old == nil || s.wmState < s.old.win.End(s.oldBoundary-1) {
 		return
 	}
-	if err := s.old.eng.Flush(); err != nil {
+	if err := s.old.sys.Flush(); err != nil {
 		s.fail(err)
 	}
-	s.old.eng.Close()
+	s.old.sys.Close()
 	s.old = nil
 }
 
@@ -657,15 +658,12 @@ func (s *Server) publishEngineStats(force bool) {
 		return
 	}
 	s.lastStatsAt = time.Now()
-	s.peakStates.Store(s.cur.eng.PeakMemoryStates())
-	s.groupsLive.Store(s.cur.eng.GroupCount())
-	s.parStats.Store(metrics.WireParallelStats(s.cur.eng.ParallelStats()))
-	if s.cur.dyn != nil {
-		// Safe here: publishEngineStats runs on the pump goroutine, which
-		// owns the sequential executor (the parallel path reports 0 until
-		// drained, like PeakMemoryStates).
-		s.prunedStarts.Store(s.cur.dyn.PrunedStarts())
-	}
+	s.peakStates.Store(s.cur.sys.PeakMemoryStates())
+	s.groupsLive.Store(s.cur.sys.GroupCount())
+	s.parStats.Store(metrics.WireParallelStats(s.cur.sys.ParallelStats()))
+	// Zero without -dynamic, and on the parallel path until drained
+	// (like PeakMemoryStates).
+	s.prunedStarts.Store(s.cur.sys.DynamicStats().PrunedStarts)
 }
 
 // fail records an engine error. The late filter makes ordering errors
@@ -691,25 +689,25 @@ func (s *Server) finish() {
 		}
 		s.publishDurabilityStats()
 		if s.old != nil {
-			s.old.eng.Close()
+			s.old.sys.Close()
 			s.old = nil
 		}
-		s.cur.eng.Close()
+		s.cur.sys.Close()
 		s.hub.Shutdown()
 		s.log.Info("drained (durable)", "events", s.ingested.Load(), "results", s.emitted.Load(), "wal_seq", s.appliedSeq)
 		return
 	}
 	if s.old != nil {
-		if err := s.old.eng.Flush(); err != nil {
+		if err := s.old.sys.Flush(); err != nil {
 			s.fail(err)
 		}
-		s.old.eng.Close()
+		s.old.sys.Close()
 		s.old = nil
 	}
-	if err := s.cur.eng.Flush(); err != nil {
+	if err := s.cur.sys.Flush(); err != nil {
 		s.fail(err)
 	}
-	s.cur.eng.Close()
+	s.cur.sys.Close()
 	s.publishEngineStats(true)
 	s.hub.Shutdown()
 	s.log.Info("drained", "events", s.ingested.Load(), "results", s.emitted.Load())

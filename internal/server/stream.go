@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -121,14 +120,12 @@ type StreamOptions struct {
 	Watermark func() int64
 }
 
-// subRequest is one parsed subscription: the filter, the resume cursor,
-// and whether any legacy parameter form was used (stamps a deprecation
-// header on the response).
+// subRequest is one parsed subscription: the filter and the resume
+// cursor.
 type subRequest struct {
 	filter SubFilter
 	resume bool
 	after  int64
-	legacy bool
 }
 
 // parseSubscribe parses the unified subscription surface shared by
@@ -139,23 +136,21 @@ type subRequest struct {
 //   - type=result|wm|adopted (repeatable) selects frame kinds
 //     (default: results only);
 //   - after=N and the Last-Event-ID header resume from seq N
-//     (header wins; -1 replays everything retained);
-//   - punctuate=1 (legacy) = type=result&type=wm&type=adopted;
-//   - query=qID (legacy q-prefix) is accepted.
+//     (header wins; -1 replays everything retained).
 //
-// Errors are written to w; ok is false then. Legacy forms keep working
-// but mark the response with a Deprecation header pointing at the
-// current surface.
+// Errors are written to w; ok is false then. The retired punctuate=
+// form is refused by name rather than ignored: a subscriber that asked
+// for watermark marks and silently got none would wait forever on a
+// frontier that never advances.
 func parseSubscribe(w http.ResponseWriter, r *http.Request, o StreamOptions) (sr subRequest, ok bool) {
 	q := r.URL.Query()
 	sr.after = -1
+	if q.Has("punctuate") {
+		writeErr(w, http.StatusBadRequest, "punctuate= is no longer accepted; subscribe with type=result&type=wm&type=adopted")
+		return sr, false
+	}
 	for _, raw := range q["query"] {
-		s := raw
-		if strings.HasPrefix(s, "q") {
-			s = strings.TrimPrefix(s, "q")
-			sr.legacy = true
-		}
-		id, err := strconv.Atoi(s)
+		id, err := strconv.Atoi(raw)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "bad query id %q", raw)
 			return sr, false
@@ -187,10 +182,6 @@ func parseSubscribe(w http.ResponseWriter, r *http.Request, o StreamOptions) (sr
 			return sr, false
 		}
 	}
-	if ps := q.Get("punctuate"); ps != "" && ps != "0" && ps != "false" {
-		sr.filter.Kinds |= KindResult | KindWM | KindAdopted
-		sr.legacy = true
-	}
 	// Resume: the Last-Event-ID header (what an SSE client reconnects
 	// with automatically) wins over the explicit after= form.
 	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
@@ -208,12 +199,7 @@ func parseSubscribe(w http.ResponseWriter, r *http.Request, o StreamOptions) (sr
 		}
 		sr.after, sr.resume = v, true
 	}
-	h := w.Header()
-	h.Set("Sharon-Api-Version", apiVersion)
-	if sr.legacy {
-		h.Set("Deprecation", "true")
-		h.Set("Sharon-Api-Note", "legacy subscribe params (q-prefixed query=, punctuate=) accepted; current surface is repeatable query=/group=/type= with after=/Last-Event-ID resume — see README Streaming API")
-	}
+	w.Header().Set("Sharon-Api-Version", apiVersion)
 	return sr, true
 }
 

@@ -420,9 +420,10 @@ func TestWSProtocol(t *testing.T) {
 }
 
 // TestSubscribeHeaders pins the versioning contract: every subscribe
-// response carries Sharon-Api-Version, legacy parameter forms answer
-// with a Deprecation header, the current forms do not, and an aged-out
-// cursor's 410 names the oldest retained seq in Sharon-Oldest-Seq.
+// response carries Sharon-Api-Version, the retired parameter forms are
+// refused with a 400 (punctuate= naming its replacement), and an
+// aged-out cursor's 410 names the oldest retained seq in
+// Sharon-Oldest-Seq.
 func TestSubscribeHeaders(t *testing.T) {
 	raw := randomRaw(2500, 17)
 	_, ts := newTestServer(t, Config{Queries: testQueries})
@@ -431,19 +432,23 @@ func TestSubscribeHeaders(t *testing.T) {
 	if got := modern.header.Get("Sharon-Api-Version"); got != apiVersion {
 		t.Fatalf("Sharon-Api-Version = %q, want %q", got, apiVersion)
 	}
-	if modern.header.Get("Deprecation") != "" {
-		t.Fatal("current-surface subscribe marked deprecated")
-	}
-	legacyQ := subscribeRawSSE(t, ts.URL, "?query=q1", nil)
-	if legacyQ.header.Get("Deprecation") != "true" || legacyQ.header.Get("Sharon-Api-Note") == "" {
-		t.Fatalf("legacy q-prefix subscribe missing deprecation headers: %v", legacyQ.header)
-	}
-	legacyP := subscribeRawSSE(t, ts.URL, "?punctuate=1", nil)
-	if legacyP.header.Get("Deprecation") != "true" {
-		t.Fatal("legacy punctuate= subscribe missing Deprecation header")
-	}
 
-	// Parameter errors.
+	// Parameter errors. A stale punctuate= (any value: a lane sending
+	// punctuate=0 is just as stale) must not subscribe to a stream
+	// without marks.
+	for _, stale := range []string{"?punctuate=1", "?punctuate=0", "?type=result&punctuate=1"} {
+		code, body := doReq(t, "GET", ts.URL+"/subscribe"+stale, "")
+		var refusal struct {
+			Error string `json:"error"`
+		}
+		_ = json.Unmarshal([]byte(body), &refusal)
+		if code != http.StatusBadRequest || !strings.Contains(refusal.Error, "type=result&type=wm&type=adopted") {
+			t.Fatalf("%s: %d %s, want a 400 naming the replacement", stale, code, body)
+		}
+	}
+	if code, _ := doReq(t, "GET", ts.URL+"/subscribe?query=q1", ""); code != http.StatusBadRequest {
+		t.Fatalf("q-prefixed query id: %d, want 400", code)
+	}
 	if code, _ := doReq(t, "GET", ts.URL+"/subscribe?type=bogus", ""); code != http.StatusBadRequest {
 		t.Fatalf("bad type: %d, want 400", code)
 	}
@@ -456,12 +461,17 @@ func TestSubscribeHeaders(t *testing.T) {
 	// burst), then assert the 410 carries the recovery cursor.
 	_, ts2 := newTestServer(t, Config{Queries: testQueries, ReplayBuffer: 8})
 	driveWorkload(t, ts2.URL, raw)
-	waitFor(t, "ring overflow", func() bool {
+	// Wait for the closing watermark to apply, not just for the overflow:
+	// while the pump still emits, the oldest retained seq keeps moving and
+	// the cursor the 410 names can age out before it is used below.
+	finalWM := (raw[len(raw)-1].Time/1000)*1000 + 4000
+	waitFor(t, "ring overflow and a drained stream", func() bool {
 		_, body := doReq(t, "GET", ts2.URL+"/metrics", "")
 		var st struct {
 			ResultsEmitted int64 `json:"results_emitted"`
+			Watermark      int64 `json:"watermark"`
 		}
-		return json.Unmarshal([]byte(body), &st) == nil && st.ResultsEmitted > 16
+		return json.Unmarshal([]byte(body), &st) == nil && st.ResultsEmitted > 16 && st.Watermark >= finalWM
 	})
 	req, _ := http.NewRequest("GET", ts2.URL+"/subscribe?after=0", nil)
 	resp, err := http.DefaultClient.Do(req)

@@ -10,33 +10,6 @@ import (
 	"github.com/sharon-project/sharon/internal/obs"
 )
 
-// engine is the slice of the public system API the server drives. All
-// three system kinds (System, PartitionedSystem, DynamicSystem)
-// implement it; the server, the harness, and in-process callers are
-// thereby consumers of the same OnResult sink contract.
-type engine interface {
-	FeedBatch([]sharon.Event) error
-	AdvanceWatermark(t int64)
-	Flush() error
-	Close()
-	ResultCount() int64
-	PeakMemoryStates() int64
-	GroupCount() int64
-	ParallelStats() sharon.ParallelStats
-	Snapshot() (*sharon.StateSnapshot, error)
-	Restore(*sharon.StateSnapshot) error
-	Quiesce() error
-}
-
-// groupHost is the optional cluster-rebalance capability of an engine:
-// only uniform non-dynamic systems (sharon.System) implement it. The
-// /cluster/adopt and /cluster/extract handlers type-assert it and
-// refuse other workload shapes.
-type groupHost interface {
-	AbsorbGroups(*sharon.StateSnapshot) error
-	RemoveGroups(func(sharon.GroupKey) bool) (int, error)
-}
-
 // queryEntry is one registered query: its global ID (stable across live
 // workload changes), its source text, and its compiled form.
 type queryEntry struct {
@@ -52,27 +25,6 @@ func workloadOf(entries []queryEntry) sharon.Workload {
 		w[i] = e.Q
 	}
 	return w
-}
-
-// uniform reports whether the workload satisfies the single-segment
-// assumptions (same window, grouping, and predicates), i.e. whether it
-// runs on System rather than PartitionedSystem.
-func uniform(w sharon.Workload) bool {
-	first := w[0]
-	for _, q := range w[1:] {
-		if q.Window != first.Window || q.GroupBy != first.GroupBy {
-			return false
-		}
-		if len(q.Where) != len(first.Where) {
-			return false
-		}
-		for i := range q.Where {
-			if q.Where[i] != first.Where[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // sink forwards one system's emitted results to the hub, bounded to the
@@ -132,27 +84,24 @@ func (sk *sink) onResult(r sharon.Result) {
 
 // builtSystem pairs a running system with its sink and metadata.
 type builtSystem struct {
-	eng     engine
+	sys     *sharon.System
 	sink    *sink
 	entries []queryEntry
-	win     sharon.Window // uniform window (zero when partitioned)
-	uniform bool
-	dyn     *sharon.DynamicSystem // non-nil in dynamic mode
-	plan    sharon.Plan           // initial plan (uniform systems)
-	score   float64
+	win     sharon.Window // the uniform window (the first query's when partitioned)
+	plan    sharon.Plan   // initial plan (nil when partitioned)
 }
 
 // buildSystem compiles the entries into a running system with a fresh
 // sink emitting windows >= lo. plan, when non-nil, bypasses the
 // optimizer (the live-registration path optimizes first to compute the
-// plan diff, then hands the chosen plan over).
+// plan diff, then hands the chosen plan over); dynamic mode installs
+// its own plans and drops it.
 func (s *Server) buildSystem(entries []queryEntry, rates sharon.Rates, plan sharon.Plan, lo int64) (*builtSystem, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("server: empty workload")
 	}
 	w := workloadOf(entries)
 	sk := newSink(s, entries, lo)
-	bs := &builtSystem{sink: sk, entries: entries, uniform: uniform(w)}
 	opts := sharon.Options{
 		Rates:       rates,
 		Plan:        plan,
@@ -160,26 +109,17 @@ func (s *Server) buildSystem(entries []queryEntry, rates sharon.Rates, plan shar
 		EmitEmpty:   s.cfg.EmitEmpty,
 		Parallelism: s.cfg.Parallelism,
 	}
-	switch {
-	case !bs.uniform:
-		sys, err := sharon.NewPartitionedSystem(w, opts)
-		if err != nil {
-			return nil, err
-		}
-		bs.eng = sys
-	case s.cfg.Dynamic:
-		dopts := sharon.DynamicOptions{
-			OnResult:    sk.onResult,
-			EmitEmpty:   s.cfg.EmitEmpty,
-			Parallelism: s.cfg.Parallelism,
-			OnMigrate:   func(int64, sharon.Plan, sharon.Plan) { s.migrations.Add(1) },
+	if s.cfg.Dynamic {
+		opts.Plan = nil
+		opts.Dynamic = &sharon.DynamicOptions{
+			OnMigrate: func(int64, sharon.Plan, sharon.Plan) { s.migrations.Add(1) },
 		}
 		if s.cfg.Adaptive {
-			dopts.Adaptive = true
+			opts.Dynamic.Adaptive = true
 			// Transition counters and the detector-state gauge are fed
 			// from the decision callback (serialized across shards), not
 			// polled: shard state is worker-owned while the run is live.
-			dopts.OnDecision = func(_ int64, state sharon.BurstState, _ sharon.Plan) {
+			opts.Dynamic.OnDecision = func(_ int64, state sharon.BurstState, _ sharon.Plan) {
 				s.burstState.Store(int32(state))
 				if state == sharon.Burst {
 					s.shareTrans.Add(1)
@@ -188,22 +128,10 @@ func (s *Server) buildSystem(entries []queryEntry, rates sharon.Rates, plan shar
 				}
 			}
 		}
-		dyn, err := sharon.NewDynamicSystem(w, rates, dopts)
-		if err != nil {
-			return nil, err
-		}
-		bs.eng, bs.dyn = dyn, dyn
-		bs.win = w[0].Window
-		bs.plan = dyn.Plan()
-	default:
-		sys, err := sharon.NewSystem(w, opts)
-		if err != nil {
-			return nil, err
-		}
-		bs.eng = sys
-		bs.win = w[0].Window
-		bs.plan = sys.Plan()
-		bs.score = sys.PlanScore()
 	}
-	return bs, nil
+	sys, err := sharon.NewSystem(w, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &builtSystem{sys: sys, sink: sk, entries: entries, win: w[0].Window, plan: sys.Plan()}, nil
 }

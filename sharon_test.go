@@ -43,8 +43,9 @@ func buildTraffic(t testing.TB, events int) (*sharon.Registry, sharon.Workload, 
 }
 
 // TestSystemStrategiesAgree is the public-API equivalence check: Sharon,
-// greedy, non-shared, two-step, and SPASS systems all produce identical
-// results on the paper's traffic workload.
+// greedy and non-shared systems all produce identical results on the
+// paper's traffic workload. (The sequence-constructing baselines are
+// checked against the same workload in internal/exec.)
 func TestSystemStrategiesAgree(t *testing.T) {
 	_, w, stream := buildTraffic(t, 3000)
 	rates := sharon.MeasureRates(stream, w)
@@ -62,7 +63,7 @@ func TestSystemStrategiesAgree(t *testing.T) {
 		t.Fatal("reference produced no results")
 	}
 
-	for _, strat := range []sharon.Strategy{sharon.StrategySharon, sharon.StrategyGreedy, sharon.StrategyTwoStep, sharon.StrategySPASS, sharon.StrategySASE} {
+	for _, strat := range []sharon.Strategy{sharon.StrategySharon, sharon.StrategyGreedy} {
 		sys, err := sharon.NewSystem(w, sharon.Options{Strategy: strat, Rates: rates})
 		if err != nil {
 			t.Fatalf("strategy %v: %v", strat, err)
@@ -169,20 +170,6 @@ func TestSystemCallbacks(t *testing.T) {
 	}
 }
 
-func TestSystemRejectsBadWorkloads(t *testing.T) {
-	reg := sharon.NewRegistry()
-	q1 := sharon.MustParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10s SLIDE 5s", reg)
-	q2 := sharon.MustParseQuery("RETURN COUNT(*) PATTERN SEQ(B, C) WITHIN 20s SLIDE 5s", reg)
-	w := sharon.Workload{q1, q2}
-	w.Renumber()
-	if _, err := sharon.NewSystem(w, sharon.Options{}); err == nil {
-		t.Error("mismatched windows accepted")
-	}
-	if _, err := sharon.NewSystem(nil, sharon.Options{}); err == nil {
-		t.Error("empty workload accepted")
-	}
-}
-
 func TestOptimizePublic(t *testing.T) {
 	tr := gen.Traffic()
 	rates := sharon.Rates{}
@@ -201,7 +188,9 @@ func TestOptimizePublic(t *testing.T) {
 	}
 }
 
-func TestDynamicSystemPublic(t *testing.T) {
+// TestDynamicUngrouped runs Options.Dynamic on an ungrouped workload
+// whose hot types shift mid-stream, against the static non-shared run.
+func TestDynamicUngrouped(t *testing.T) {
 	reg := sharon.NewRegistry()
 	w := sharon.Workload{
 		sharon.MustParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B, C) WITHIN 4s SLIDE 1s", reg),
@@ -220,9 +209,12 @@ func TestDynamicSystemPublic(t *testing.T) {
 		stream = append(stream, sharon.Event{Time: int64(i+1) * 20, Type: reg.Lookup(name)})
 	}
 	var migrations int
-	sys, err := sharon.NewDynamicSystem(w, sharon.MeasureRates(stream[:300], w), sharon.DynamicOptions{
-		DriftThreshold: 0.3,
-		OnMigrate:      func(at int64, old, new sharon.Plan) { migrations++ },
+	sys, err := sharon.NewSystem(w, sharon.Options{
+		Rates: sharon.MeasureRates(stream[:300], w),
+		Dynamic: &sharon.DynamicOptions{
+			DriftThreshold: 0.3,
+			OnMigrate:      func(at int64, old, new sharon.Plan) { migrations++ },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +223,8 @@ func TestDynamicSystemPublic(t *testing.T) {
 	if err := sys.ProcessAll(stream); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Migrations() != migrations {
-		t.Errorf("Migrations()=%d, callbacks=%d", sys.Migrations(), migrations)
+	if got := sys.DynamicStats().Migrations; got != migrations {
+		t.Errorf("DynamicStats().Migrations=%d, callbacks=%d", got, migrations)
 	}
 	if len(sys.Results()) == 0 {
 		t.Error("dynamic system emitted nothing")
@@ -283,9 +275,9 @@ func TestValueHelper(t *testing.T) {
 	}
 }
 
-// TestPartitionedSystemPublic exercises §7.2 through the public API:
+// TestMultiSegmentWorkload exercises §7.2 through the public API:
 // queries with different windows and predicates run in uniform segments.
-func TestPartitionedSystemPublic(t *testing.T) {
+func TestMultiSegmentWorkload(t *testing.T) {
 	reg := sharon.NewRegistry()
 	w := sharon.Workload{
 		sharon.MustParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 4s SLIDE 2s", reg),
@@ -294,13 +286,19 @@ func TestPartitionedSystemPublic(t *testing.T) {
 		sharon.MustParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B) WHERE A.val > 50 WITHIN 4s SLIDE 2s", reg),
 	}
 	w.Renumber()
-	sys, err := sharon.NewPartitionedSystem(w, sharon.Options{})
+	sys, err := sharon.NewSystem(w, sharon.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
 	if sys.Segments() != 3 {
 		t.Fatalf("segments = %d, want 3", sys.Segments())
+	}
+	if sys.Plan() != nil {
+		t.Errorf("Plan() = %v on a multi-segment workload, want nil (see SegmentPlan)", sys.Plan())
+	}
+	if seg, plan := sys.SegmentPlan(0); len(seg) != 2 || plan.Validate(seg) != nil {
+		t.Errorf("segment 0 = %d queries under plan %v, want the two 4s/2s queries and a plan over them", len(seg), plan)
 	}
 	rng := rand.New(rand.NewSource(2))
 	letters := []string{"A", "B", "C"}
@@ -335,9 +333,5 @@ func TestPartitionedSystemPublic(t *testing.T) {
 	}
 	if sys.PeakMemoryStates() <= 0 {
 		t.Error("no memory accounted")
-	}
-	// Rejects two-step strategies.
-	if _, err := sharon.NewPartitionedSystem(w, sharon.Options{Strategy: sharon.StrategyTwoStep}); err == nil {
-		t.Error("two-step partitioned accepted")
 	}
 }

@@ -1,166 +1,16 @@
-// Public-API tests for the OnResult sink contract: push-based emission
-// order, the Results()/sink exclusivity, and watermark-driven emission
-// without a terminal Flush. These pin the contracts the sharond server
-// builds on (internal/server).
+// Public-API test for watermark-driven emission through the OnResult
+// sink without a terminal Flush: the contract the sharond server builds
+// on (internal/server). The sink's order and its exclusivity with
+// Results() are pinned by TestSystemMatrix.
 package sharon_test
 
 import (
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	sharon "github.com/sharon-project/sharon"
 )
-
-// pushOrder returns rs re-sorted into the sink's delivery order —
-// (window end, query ID, group); with uniform windows the window index
-// stands in for the end. Results() reports query-major order instead, so
-// tests comparing a collected reference against a pushed sequence sort
-// the reference first.
-func pushOrder(rs []sharon.Result) []sharon.Result {
-	out := append([]sharon.Result(nil), rs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Win != out[j].Win {
-			return out[i].Win < out[j].Win
-		}
-		if out[i].Query != out[j].Query {
-			return out[i].Query < out[j].Query
-		}
-		return out[i].Group < out[j].Group
-	})
-	return out
-}
-
-// TestSinkDeterministicOrder pins the sink's delivery order: a
-// sequential system pushes results in exactly the (window end, query ID,
-// group) order — the same order Results() reports after a collect run —
-// so a subscriber sees the canonical stream without re-sorting.
-func TestSinkDeterministicOrder(t *testing.T) {
-	w, stream := genGrouped(t, 6, 5000, 10)
-	rates := sharon.MeasureRates(stream, w)
-
-	collect, err := sharon.NewSystem(w, sharon.Options{Rates: rates, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer collect.Close()
-	if err := collect.ProcessAll(stream); err != nil {
-		t.Fatal(err)
-	}
-	want := pushOrder(collect.Results())
-	if len(want) == 0 {
-		t.Fatal("collect run produced no results")
-	}
-
-	var pushed []sharon.Result
-	sink, err := sharon.NewSystem(w, sharon.Options{
-		Rates:       rates,
-		Parallelism: 1,
-		OnResult:    func(r sharon.Result) { pushed = append(pushed, r) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	if err := sink.ProcessAll(stream); err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, want, pushed, "sequential sink order")
-
-	// The parallel merge delivers the identical sequence.
-	var mu sync.Mutex
-	var par []sharon.Result
-	psys, err := sharon.NewSystem(w, sharon.Options{
-		Rates:       rates,
-		Parallelism: 4,
-		OnResult: func(r sharon.Result) {
-			mu.Lock()
-			par = append(par, r)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer psys.Close()
-	if err := psys.ProcessAll(stream); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	requireIdentical(t, want, par, "parallel sink order")
-}
-
-// TestResultsWithSinkContract pins the Results()/sink duality: a system
-// with an attached OnResult sink never retains results — Results()
-// returns nil before and after Flush, on every system kind, while
-// ResultCount still reports the delivered total. The sink is the single
-// consumer; there is no snapshot racing with the callback.
-func TestResultsWithSinkContract(t *testing.T) {
-	w, stream := genGrouped(t, 4, 3000, 8)
-	rates := sharon.MeasureRates(stream, w)
-
-	check := func(t *testing.T, name string, sys interface {
-		ProcessAll(sharon.Stream) error
-		Results() []sharon.Result
-		ResultCount() int64
-	}, delivered *int64) {
-		t.Helper()
-		if got := sys.Results(); got != nil {
-			t.Fatalf("%s: Results() before feed = %d results, want nil", name, len(got))
-		}
-		if err := sys.ProcessAll(stream); err != nil {
-			t.Fatal(err)
-		}
-		if got := sys.Results(); got != nil {
-			t.Fatalf("%s: Results() with sink attached = %d results, want nil", name, len(got))
-		}
-		if *delivered == 0 {
-			t.Fatalf("%s: sink received no results", name)
-		}
-		if sys.ResultCount() != *delivered {
-			t.Fatalf("%s: ResultCount() = %d, sink received %d", name, sys.ResultCount(), *delivered)
-		}
-	}
-
-	t.Run("system-sequential", func(t *testing.T) {
-		var n int64
-		sys, err := sharon.NewSystem(w, sharon.Options{Rates: rates, Parallelism: 1,
-			OnResult: func(sharon.Result) { n++ }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "System(seq)", sys, &n)
-	})
-	t.Run("system-parallel", func(t *testing.T) {
-		var n int64 // callback runs on the merge goroutine, read after Flush
-		sys, err := sharon.NewSystem(w, sharon.Options{Rates: rates, Parallelism: 4,
-			OnResult: func(sharon.Result) { n++ }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "System(par)", sys, &n)
-	})
-	t.Run("partitioned", func(t *testing.T) {
-		var n int64
-		sys, err := sharon.NewPartitionedSystem(w, sharon.Options{Rates: rates, Parallelism: 1,
-			OnResult: func(sharon.Result) { n++ }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "PartitionedSystem", sys, &n)
-	})
-	t.Run("dynamic", func(t *testing.T) {
-		var n int64
-		sys, err := sharon.NewDynamicSystem(w, rates, sharon.DynamicOptions{Parallelism: 1,
-			OnResult: func(sharon.Result) { n++ }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "DynamicSystem", sys, &n)
-	})
-}
 
 // waitForCount polls an atomic-ish counter until it reaches want; the
 // parallel path delivers results asynchronously after a watermark.
@@ -207,7 +57,7 @@ func TestAdvanceWatermarkEmitsWithoutFlush(t *testing.T) {
 	if err := ref.ProcessAll(stream); err != nil {
 		t.Fatal(err)
 	}
-	want := pushOrder(ref.Results())
+	want := pushOrder(w, ref.Results())
 	if len(want) == 0 {
 		t.Fatal("reference run produced no results")
 	}
