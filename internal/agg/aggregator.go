@@ -143,6 +143,12 @@ type Aggregator struct {
 	// memory metric, paper §8.1): prefix states of live START records
 	// plus non-zero window slots.
 	liveStates int64
+	// maxCredited is the largest window index a completion was ever
+	// credited to (-1 before the first). Each completion credits a
+	// contiguous range that begins at the oldest open window, so the
+	// executor reads it after Process to learn which open windows this
+	// aggregator can contribute a result to.
+	maxCredited int64
 	// pruned counts records RetainStart declined (recycled at birth).
 	pruned int64
 }
@@ -181,12 +187,13 @@ func NewAggregator(cfg Config) *Aggregator {
 		ring[i] = Zero()
 	}
 	return &Aggregator{
-		cfg:       cfg,
-		positions: pos,
-		plen:      len(cfg.Pattern),
-		winRing:   ring,
-		winMask:   ringLen - 1,
-		nextClose: -1,
+		cfg:         cfg,
+		positions:   pos,
+		plen:        len(cfg.Pattern),
+		winRing:     ring,
+		winMask:     ringLen - 1,
+		nextClose:   -1,
+		maxCredited: -1,
 	}
 }
 
@@ -429,6 +436,9 @@ func (a *Aggregator) complete(rec *StartRec, e event.Event, delta State) {
 		slot := &a.winRing[k&a.winMask]
 		if slot.Count == 0 {
 			a.liveStates++
+			if k > a.maxCredited {
+				a.maxCredited = k
+			}
 		}
 		slot.AddInPlace(delta)
 	}
@@ -453,6 +463,12 @@ func (a *Aggregator) Flush() {
 //
 //sharon:hotpath
 func (a *Aggregator) LiveStates() int64 { return a.liveStates }
+
+// MaxCredited reports the largest window index any completion has been
+// credited to, or -1 if none has.
+//
+//sharon:hotpath
+func (a *Aggregator) MaxCredited() int64 { return a.maxCredited }
 
 // LiveStarts reports the number of live START records.
 func (a *Aggregator) LiveStarts() int { return len(a.starts) - a.head }

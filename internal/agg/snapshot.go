@@ -89,6 +89,7 @@ func (a *Aggregator) Restore(s Snapshot) (map[int64]*StartRec, error) {
 		a.winRing[k&a.winMask] = st
 		if st.Count != 0 {
 			a.liveStates++
+			a.maxCredited = k
 		}
 	}
 	byID := make(map[int64]*StartRec, len(s.Starts))

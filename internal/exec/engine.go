@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -47,6 +48,7 @@ type Engine struct {
 	group bool
 
 	proto  *engineProto
+	tmpl   *groupTemplate
 	groups map[event.GroupKey]*engineGroup
 
 	resultSink
@@ -62,11 +64,37 @@ type Engine struct {
 	// bounds a draining engine at the migration boundary, so a hand-off
 	// drain skips the work its OnResult filter would discard anyway.
 	bound int64
-	// emitBuf stages one window's results so they can be sorted into the
-	// canonical (query, window, group) order before reaching the sink;
-	// reused across windows to keep the hot path allocation-free.
-	emitBuf []Result
 
+	// active[k&activeMask] is open window k's close list: the groups that
+	// can emit a result or hold snapshot entries in k. A group joins it
+	// when a completion is first credited to k on a node whose totals are
+	// results (aggNode.emits) or a snapshot entry is first captured for k
+	// (listGroup), so closing k walks only groups with something to
+	// evaluate or release. The ring covers the
+	// live range [nextClose, maxWin] and grows like the snapshot rings;
+	// a closed window's slot is reset to length 0 with its capacity kept.
+	active     [][]*engineGroup
+	activeMask int64
+	// every lists all groups under Options.EmitEmpty, where each group
+	// emits in each window: it then stands in for every window's list
+	// (nil otherwise).
+	every []*engineGroup
+
+	// Close-path scratch, reused across windows so a close allocates
+	// nothing at steady state: finalVals holds one group's distinct final
+	// stage values, stageBuf/stageRank the window's non-empty results in
+	// (group, query) visit order with their query ranks, rankOff the
+	// counting pass's per-rank offsets, and emitBuf the results placed in
+	// the canonical (query, window, group) order.
+	finalVals []agg.State
+	stageBuf  []Result
+	stageRank []int
+	rankOff   []int
+	emitBuf   []Result
+
+	// live counts the aggregate states currently held (see LiveStates),
+	// maintained where states are created and dropped.
+	live     int64
 	peakLive int64
 	queries  map[int]*query.Query
 
@@ -121,6 +149,7 @@ func NewEngine(w query.Workload, plan core.Plan, opts Options) (*Engine, error) 
 		preds:      w[0].Where,
 		group:      w[0].GroupBy,
 		proto:      proto,
+		tmpl:       newGroupTemplate(proto, !opts.DisableStateReduction),
 		groups:     make(map[event.GroupKey]*engineGroup),
 		resultSink: resultSink{opts: opts},
 		nextClose:  -1,
@@ -131,6 +160,11 @@ func NewEngine(w query.Workload, plan core.Plan, opts Options) (*Engine, error) 
 	for _, q := range w {
 		en.queries[q.ID] = q
 	}
+	n := initialSnapRing(en.win)
+	en.active = make([][]*engineGroup, n)
+	en.activeMask = n - 1
+	en.finalVals = make([]agg.State, len(en.tmpl.finals))
+	en.rankOff = make([]int, len(en.tmpl.emit)+1)
 	return en, nil
 }
 
@@ -217,23 +251,190 @@ func compile(w query.Workload, plan core.Plan) (*engineProto, error) {
 	return proto, nil
 }
 
+// --- group template ---
+
+// groupTemplate is the group-independent shape of one group's runtime:
+// which aggregators exist, how the chains' stages hang off them after the
+// two SHARP-style structural merges, which nodes each event type
+// dispatches to, and the order results leave a closing window. It is
+// derived once from the compiled workload; buildGroup only instantiates
+// it. Unless Options.DisableStateReduction is set the merges are:
+//
+//   - M1 (node merge): private segments with the same (pattern, target)
+//     across different queries' chains compute byte-identical aggregator
+//     state, so they share one aggNode — one extend loop and one record
+//     pool instead of one per query.
+//   - M2 (stage merge): chain stages over the same node whose entire
+//     upstream stage chain coincides capture identical snapshot streams,
+//     so they share one stageRT (one snapshot ring, appended once per
+//     START instead of once per query).
+//
+// Both merges are value-preserving by induction over the stage depth: a
+// stage's value is a pure function of its node's stream state and its
+// upstream stage's value, and the merge key equates exactly those
+// inputs. The chains keep their own stage *views* (chains) so per-query
+// emission is unchanged.
+type groupTemplate struct {
+	nodes  []nodeTmpl  // shared nodes first, then private ones in first-use order
+	stages []stageTmpl // every distinct stage once, in creation order
+	chains [][]int     // per chain, its stage views as indices into stages
+	// byType indexes the nodes whose pattern contains each event type. It
+	// is a dense table indexed by the interned event.Type (sized to the
+	// workload's largest pattern type; other types dispatch to nothing by
+	// bounds check).
+	byType [][]int
+	// finals are the distinct chain-final stages (indices into stages): a
+	// closing window evaluates each once, however many chains alias it.
+	finals []int
+	// emit lists the chains in query-ID order, the order their results
+	// leave a window; its index is the query's rank in the counting pass.
+	emit []emitSlot
+	// viewCount and dispatchCount total the entries of chains and byType,
+	// so a group allocates one backing array for each table.
+	viewCount, dispatchCount int
+	// mergedNodes/mergedStages are the M1/M2 merges one group performs.
+	mergedNodes, mergedStages int64
+}
+
+type nodeTmpl struct {
+	pattern query.Pattern
+	target  event.Type
+	// headOnly: no listener reads the node's per-window totals (no stage-0
+	// listener, and no downstream stage snapshots it as an upstream —
+	// which is the same condition, since stage i snapshots stage i-1 and
+	// only stage 0 reads totals).
+	headOnly bool
+	// emits: some chain's final stage is this node's stage 0, so the
+	// node's per-window totals are that query's results.
+	emits bool
+}
+
+type stageTmpl struct {
+	prev       int // upstream stage, -1 for stage 0
+	idx        int
+	node       int
+	ownerChain int
+	plen       int
+	mask       bool
+}
+
+type emitSlot struct {
+	query int // query ID
+	final int // index into groupTemplate.finals
+}
+
+// newGroupTemplate derives the template; reduce enables merges M1 and M2.
+func newGroupTemplate(proto *engineProto, reduce bool) *groupTemplate {
+	t := &groupTemplate{}
+	for i, p := range proto.sharedPattern {
+		t.nodes = append(t.nodes, nodeTmpl{pattern: p, target: proto.sharedTarget[i], headOnly: true})
+	}
+	type nodeKey struct {
+		pattern string
+		target  event.Type
+	}
+	// The class key equates (node identity, count projection, upstream
+	// stage) — with the upstream itself a merged class, the complete set
+	// of inputs a stage's value depends on.
+	type classKey struct {
+		node, prev int
+		mask       bool
+	}
+	privNodes := make(map[nodeKey]int)
+	classes := make(map[classKey]int)
+	finalOf := make(map[int]int)
+	for ci, cp := range proto.chains {
+		views := make([]int, 0, len(cp.segs))
+		prev := -1
+		for i, seg := range cp.segs {
+			node, mask := seg.sharedIdx, false
+			if seg.sharedIdx >= 0 {
+				eff := event.NoType
+				if cp.q.Agg.Kind != query.CountStar && seg.pattern.Contains(query.Pattern{cp.q.Agg.Target}) {
+					eff = cp.q.Agg.Target
+				}
+				mask = proto.sharedTarget[seg.sharedIdx] != eff
+			} else {
+				target := event.NoType
+				if cp.q.Agg.Kind != query.CountStar {
+					target = cp.q.Agg.Target
+				}
+				nk := nodeKey{seg.pattern.Key(), target}
+				if existing, ok := privNodes[nk]; ok && reduce {
+					node = existing // M1: identical private aggregator state
+					t.mergedNodes++
+				} else {
+					node = len(t.nodes)
+					privNodes[nk] = node
+					t.nodes = append(t.nodes, nodeTmpl{pattern: seg.pattern, target: target, headOnly: true})
+				}
+			}
+			ck := classKey{node, prev, mask}
+			si, ok := classes[ck]
+			if ok && reduce {
+				t.mergedStages++ // M2: alias the equivalent stage
+			} else {
+				si = len(t.stages)
+				classes[ck] = si
+				t.stages = append(t.stages, stageTmpl{prev: prev, idx: i, node: node, ownerChain: ci, plen: seg.pattern.Length(), mask: mask})
+				if i == 0 {
+					t.nodes[node].headOnly = false
+				}
+			}
+			views = append(views, si)
+			prev = si
+		}
+		t.chains = append(t.chains, views)
+		t.viewCount += len(views)
+		if final := t.stages[prev]; final.idx == 0 {
+			t.nodes[final.node].emits = true
+		}
+		fi, ok := finalOf[prev]
+		if !ok {
+			fi = len(t.finals)
+			finalOf[prev] = fi
+			t.finals = append(t.finals, prev)
+		}
+		t.emit = append(t.emit, emitSlot{query: cp.q.ID, final: fi})
+	}
+	slices.SortFunc(t.emit, func(a, b emitSlot) int { return cmp.Compare(a.query, b.query) })
+
+	maxType := event.Type(0)
+	for _, n := range t.nodes {
+		for _, typ := range n.pattern {
+			maxType = max(maxType, typ)
+		}
+	}
+	t.byType = make([][]int, maxType+1)
+	for ni, n := range t.nodes {
+		for i, typ := range n.pattern {
+			if !slices.Contains(n.pattern[:i], typ) {
+				t.byType[typ] = append(t.byType[typ], ni)
+				t.dispatchCount++
+			}
+		}
+	}
+	return t
+}
+
 // --- runtime (per-group) structures ---
 
 type engineGroup struct {
 	key    event.GroupKey
-	nodes  []*aggNode // all aggregators of the group (shared first)
-	shared []*aggNode // indexed like proto.sharedPattern
-	chains []*chainRT
+	nodes  []*aggNode   // all aggregators of the group, in template order
+	chains [][]*stageRT // per chain, its stage views
 	// stages lists every distinct stage runtime exactly once. Chains may
 	// share stage objects (merged equivalent stages), so per-window
 	// release and live-state accounting iterate this set, not the
 	// chains' views.
 	stages []*stageRT
-	// byType indexes the nodes whose pattern contains each event type, so
-	// Process touches only relevant aggregators. It is a dense table
-	// indexed by the interned event.Type (sized to the workload's largest
-	// pattern type; other types dispatch to nothing by bounds check).
-	byType [][]*aggNode
+	byType [][]*aggNode // instantiated groupTemplate.byType
+	// listedHi is the largest window index whose close list holds this
+	// group (-1 before the first). Completions and snapshot captures
+	// reach a contiguous window range starting at the oldest open window,
+	// so the group is on the list of every open window up to listedHi and
+	// one bound suffices to list each window once.
+	listedHi int64
 }
 
 // aggNode is one aggregator plus the chain stages listening to it. Shared
@@ -249,16 +450,17 @@ type aggNode struct {
 	// NFA view (see sase.go), no open window holds a reachable accepting
 	// path through it — and is pruned back to the freelist at birth.
 	headOnly bool
+	// emits is true when a single-segment chain ends on this node: its
+	// window totals are then results, and a completion credited to a
+	// window puts the group on that window's close list. Any other
+	// node's totals reach a result only through a snapshot capture,
+	// which lists the group itself.
+	emits bool
 	// startLive is per-START scratch: set by the OnStart fan-out when at
 	// least one listener captured a snapshot referencing the record,
 	// read immediately after by the RetainStart check. The engine is
 	// single-threaded, so one slot suffices.
 	startLive bool
-}
-
-type chainRT struct {
-	proto  *chainProto
-	stages []*stageRT
 }
 
 // snapEntry pairs a START record of a stage's segment with the upstream
@@ -288,9 +490,11 @@ type stageRT struct {
 	// the snapshot encoder serializes it only under its owner's
 	// coordinates.
 	ownerChain int
-	// eng is the owning engine; its [nextClose, maxWin] live range
-	// drives the snapshot ring's lazy growth.
+	// eng is the owning engine (its [nextClose, maxWin] live range drives
+	// the snapshot ring's lazy growth) and grp the owning group, which a
+	// snapshot capture puts on the captured windows' close lists.
 	eng  *Engine
+	grp  *engineGroup
 	win  query.Window
 	plen int // this stage's segment pattern length
 	// mask is set when this stage's aggregator is shared and tracks a
@@ -308,123 +512,50 @@ type stageRT struct {
 	snapMask int64
 }
 
-// buildGroup constructs one group's runtime. Unless
-// Options.DisableStateReduction is set it applies the two SHARP-style
-// structural merges:
-//
-//   - M1 (node merge): private segments with the same (pattern, target)
-//     across different queries' chains compute byte-identical aggregator
-//     state, so they share one aggNode — one extend loop and one record
-//     pool instead of one per query.
-//   - M2 (stage merge): chain stages over the same node whose entire
-//     upstream stage chain coincides capture identical snapshot streams,
-//     so they share one stageRT (one snapshot ring, appended once per
-//     START instead of once per query).
-//
-// Both merges are value-preserving by induction over the stage depth: a
-// stage's value is a pure function of its node's stream state and its
-// upstream stage's value, and the merge key equates exactly those
-// inputs. The chains keep their own stage *views* (ch.stages) so
-// per-query emission is unchanged.
+// buildGroup instantiates the group template for one key.
 func (en *Engine) buildGroup(key event.GroupKey) *engineGroup {
-	g := &engineGroup{key: key}
+	t := en.tmpl
+	g := &engineGroup{key: key, listedHi: -1}
 	reduce := !en.opts.DisableStateReduction
-	g.shared = make([]*aggNode, len(en.proto.sharedPattern))
-	nodeIdx := make(map[*aggNode]int)
-	for i, p := range en.proto.sharedPattern {
-		g.shared[i] = newAggNode(en, p, en.proto.sharedTarget[i], reduce)
-		nodeIdx[g.shared[i]] = len(g.nodes)
-		g.nodes = append(g.nodes, g.shared[i])
+	g.nodes = make([]*aggNode, len(t.nodes))
+	for i, nt := range t.nodes {
+		g.nodes[i] = newAggNode(en, nt.pattern, nt.target, reduce)
+		g.nodes[i].headOnly, g.nodes[i].emits = nt.headOnly, nt.emits
 	}
-	privNodes := make(map[string]*aggNode)
-	classes := make(map[string]*stageRT)
-	for ci, cp := range en.proto.chains {
-		ch := &chainRT{proto: cp}
-		var prev *stageRT
-		prevKey := ""
-		for i, seg := range cp.segs {
-			var node *aggNode
-			if seg.sharedIdx >= 0 {
-				node = g.shared[seg.sharedIdx]
-			} else {
-				target := event.NoType
-				if cp.q.Agg.Kind != query.CountStar {
-					target = cp.q.Agg.Target
-				}
-				nk := fmt.Sprintf("%s\x00%d", seg.pattern.Key(), target)
-				if existing, ok := privNodes[nk]; ok && reduce {
-					node = existing // M1: identical private aggregator state
-					en.mergedNodes++
-				} else {
-					node = newAggNode(en, seg.pattern, target, reduce)
-					privNodes[nk] = node
-					nodeIdx[node] = len(g.nodes)
-					g.nodes = append(g.nodes, node)
-				}
-			}
-			mask := false
-			if seg.sharedIdx >= 0 {
-				eff := event.NoType
-				if cp.q.Agg.Kind != query.CountStar && seg.pattern.Contains(query.Pattern{cp.q.Agg.Target}) {
-					eff = cp.q.Agg.Target
-				}
-				mask = en.proto.sharedTarget[seg.sharedIdx] != eff
-			}
-			// The class key equates (node identity, count projection,
-			// full upstream chain) — the complete set of inputs a stage's
-			// value depends on.
-			ck := fmt.Sprintf("%d\x00%t\x00%s", nodeIdx[node], mask, prevKey)
-			if st, ok := classes[ck]; ok && reduce {
-				en.mergedStages++ // M2: alias the equivalent stage
-				ch.stages = append(ch.stages, st)
-				prev, prevKey = st, ck
-				continue
-			}
-			st := &stageRT{prev: prev, idx: i, node: node, ownerChain: ci, eng: en, win: en.win, plen: seg.pattern.Length(), mask: mask}
-			if i >= 1 {
-				n := initialSnapRing(en.win)
-				st.snapRing = make([][]snapEntry, n)
-				st.snapMask = n - 1
-			}
-			node.listeners = append(node.listeners, st)
-			ch.stages = append(ch.stages, st)
-			g.stages = append(g.stages, st)
-			classes[ck] = st
-			prev, prevKey = st, ck
+	stages := make([]stageRT, len(t.stages))
+	g.stages = make([]*stageRT, len(t.stages))
+	for i, s := range t.stages {
+		st := &stages[i]
+		*st = stageRT{idx: s.idx, node: g.nodes[s.node], ownerChain: s.ownerChain, eng: en, grp: g, win: en.win, plen: s.plen, mask: s.mask}
+		if s.idx >= 1 {
+			st.prev = g.stages[s.prev]
+			n := initialSnapRing(en.win)
+			st.snapRing = make([][]snapEntry, n)
+			st.snapMask = n - 1
 		}
-		g.chains = append(g.chains, ch)
+		st.node.listeners = append(st.node.listeners, st)
+		g.stages[i] = st
 	}
-	// A node is headOnly when no listener reads its per-window totals
-	// (no stage-0 listener, and no downstream stage snapshots it as an
-	// upstream — which is the same condition, since stage i snapshots
-	// stage i-1 and only stage 0 reads totals).
-	for _, node := range g.nodes {
-		node.headOnly = true
-		for _, st := range node.listeners {
-			if st.idx == 0 {
-				node.headOnly = false
-				break
-			}
+	views := make([]*stageRT, 0, t.viewCount)
+	g.chains = make([][]*stageRT, len(t.chains))
+	for ci, chain := range t.chains {
+		from := len(views)
+		for _, si := range chain {
+			views = append(views, g.stages[si])
 		}
+		g.chains[ci] = views[from:len(views):len(views)]
 	}
-	maxType := event.Type(0)
-	for _, node := range g.nodes {
-		for _, t := range node.agg.Pattern() {
-			if t > maxType {
-				maxType = t
-			}
+	dispatch := make([]*aggNode, 0, t.dispatchCount)
+	g.byType = make([][]*aggNode, len(t.byType))
+	for typ, nodes := range t.byType {
+		from := len(dispatch)
+		for _, ni := range nodes {
+			dispatch = append(dispatch, g.nodes[ni])
 		}
+		g.byType[typ] = dispatch[from:len(dispatch):len(dispatch)]
 	}
-	g.byType = make([][]*aggNode, maxType+1)
-	for _, node := range g.nodes {
-		seen := make(map[event.Type]bool)
-		for _, t := range node.agg.Pattern() {
-			if !seen[t] {
-				seen[t] = true
-				g.byType[t] = append(g.byType[t], node)
-			}
-		}
-	}
+	en.mergedNodes += t.mergedNodes
+	en.mergedStages += t.mergedStages
 	return g
 }
 
@@ -442,24 +573,32 @@ func initialSnapRing(w query.Window) int64 {
 }
 
 // ensureRing grows the snapshot ring to cover the engine's live window
-// range. Copying exactly the old coverage [nextClose, nextClose+len-1] is
-// a bijection onto old slots, so no two live windows can inherit the same
-// recycled slice (appends are always preceded by ensureRing in onStart,
-// hence windows beyond the old coverage hold no entries).
+// range (see growRing). Appends are always preceded by ensureRing in
+// onStart, hence windows beyond the old coverage hold no entries.
 //
 //sharon:hotpath
 func (st *stageRT) ensureRing() {
-	span := st.eng.maxWin - st.eng.nextClose + 1
-	oldLen := int64(len(st.snapRing))
-	if span <= oldLen {
-		return
+	if span := st.eng.maxWin - st.eng.nextClose + 1; span > int64(len(st.snapRing)) {
+		st.snapRing = growRing(st.snapRing, st.eng.nextClose, span)
+		st.snapMask = int64(len(st.snapRing)) - 1
 	}
+}
+
+// growRing returns a power-of-two window ring of at least span slots that
+// holds what ring held for the windows it covered, [from, from+len(ring)-1]
+// with from the oldest open window. Copying exactly that coverage is a
+// bijection onto the old slots, so no two live windows can inherit the
+// same recycled slice.
+//
+//sharon:hotpath
+func growRing[T any](ring []T, from, span int64) []T {
 	n := query.NextPow2(span)
-	ring := make([][]snapEntry, n) //sharon:allow hotpathalloc (geometric snapshot-ring growth: O(log overlap) allocations, none at steady state)
-	for k := st.eng.nextClose; k < st.eng.nextClose+oldLen; k++ {
-		ring[k&(n-1)] = st.snapRing[k&st.snapMask]
+	grown := make([]T, n) //sharon:allow hotpathalloc (geometric ring growth: O(log overlap) allocations, none at steady state)
+	oldMask := int64(len(ring)) - 1
+	for k := from; k < from+int64(len(ring)); k++ {
+		grown[k&(n-1)] = ring[k&oldMask]
 	}
-	st.snapRing, st.snapMask = ring, n-1
+	return grown
 }
 
 func newAggNode(en *Engine, p query.Pattern, target event.Type, reduce bool) *aggNode {
@@ -517,7 +656,7 @@ func (st *stageRT) onStart(rec *agg.StartRec, e event.Event) bool {
 		return false
 	}
 	st.ensureRing()
-	captured := false
+	hi := int64(-1) // largest window captured for
 	first, last := st.win.Indices(e.Time)
 	if last > st.eng.bound {
 		last = st.eng.bound // bounded drain: windows past the bound are never read
@@ -529,9 +668,13 @@ func (st *stageRT) onStart(rec *agg.StartRec, e event.Event) bool {
 		}
 		slot := k & st.snapMask
 		st.snapRing[slot] = append(st.snapRing[slot], snapEntry{rec: rec, up: up}) //sharon:allow hotpathalloc (amortized: closed windows reset slots to length 0 keeping capacity, so the backing array is recycled)
-		captured = true
+		st.eng.live++
+		hi = k
 	}
-	return captured
+	if hi > st.grp.listedHi {
+		st.eng.listGroup(st.grp, hi)
+	}
+	return hi >= 0
 }
 
 // currentValue returns C_{idx+1}(k) as of the current watermark: for
@@ -563,14 +706,6 @@ func (st *stageRT) currentValue(k int64) agg.State {
 	return total
 }
 
-// windowState returns the chain's final aggregate for window k (C_m(k)).
-//
-//sharon:hotpath
-//sharon:deterministic
-func (ch *chainRT) windowState(k int64) agg.State {
-	return ch.stages[len(ch.stages)-1].currentValue(k)
-}
-
 // release drops all stage state for a closed window: each stage's ring
 // slot is reset to length zero with its capacity kept, so the next window
 // landing on the slot appends into the recycled backing array. Releasing
@@ -590,10 +725,59 @@ func (g *engineGroup) release(k int64) {
 		}
 		slot := k & st.snapMask
 		entries := st.snapRing[slot]
-		for i := range entries {
-			entries[i] = snapEntry{} // drop rec pointers for GC hygiene
-		}
+		st.eng.live -= int64(len(entries))
+		clear(entries) // drop rec pointers for GC hygiene
 		st.snapRing[slot] = entries[:0]
+	}
+}
+
+// liveStates counts the aggregate states the group holds by walking them
+// (see Engine.LiveStates). The engine counts incrementally; this walk
+// prices a whole group when one is grafted in or removed.
+func (g *engineGroup) liveStates() int64 {
+	var n int64
+	for _, node := range g.nodes {
+		n += node.agg.LiveStates()
+	}
+	for _, st := range g.stages {
+		for _, entries := range st.snapRing {
+			n += int64(len(entries))
+		}
+	}
+	return n
+}
+
+// listGroup puts g on the close list of every open window up to hi that
+// does not hold it yet (see engineGroup.listedHi).
+//
+//sharon:hotpath
+func (en *Engine) listGroup(g *engineGroup, hi int64) {
+	en.ensureActive()
+	for k := max(g.listedHi+1, en.nextClose); k <= hi; k++ {
+		slot := k & en.activeMask
+		en.active[slot] = append(en.active[slot], g) //sharon:allow hotpathalloc (amortized: a closed window's list is reset to length 0 keeping capacity, so the backing array is recycled)
+	}
+	g.listedHi = hi
+}
+
+// ensureActive grows the close-list ring to cover the live window range
+// (see growRing); listGroup calls it before every append.
+//
+//sharon:hotpath
+func (en *Engine) ensureActive() {
+	if span := en.maxWin - en.nextClose + 1; span > int64(len(en.active)) {
+		en.active = growRing(en.active, en.nextClose, span)
+		en.activeMask = int64(len(en.active)) - 1
+	}
+}
+
+// addGroup installs a freshly built (or restored) group.
+func (en *Engine) addGroup(g *engineGroup) {
+	en.groups[g.key] = g
+	if en.opts.EmitEmpty {
+		// Listed in every window through en.every; never on a per-window list.
+		g.listedHi = math.MaxInt64
+		en.every = append(en.every, g)
 	}
 }
 
@@ -631,12 +815,17 @@ func (en *Engine) Process(e event.Event) error {
 	g, ok := en.groups[key]
 	if !ok {
 		g = en.buildGroup(key) //sharon:allow hotpathalloc (cold path: runs once per new group key, not per event)
-		en.groups[key] = g     //sharon:allow hotpathalloc (cold path: one map insert per new group key)
+		en.addGroup(g)         //sharon:allow hotpathalloc (cold path: one map insert per new group key)
 	}
 	if int(e.Type) < len(g.byType) {
 		for _, node := range g.byType[e.Type] {
+			before := node.agg.LiveStates()
 			if err := node.agg.Process(e); err != nil {
 				return err
+			}
+			en.live += node.agg.LiveStates() - before
+			if hi := node.agg.MaxCredited(); node.emits && hi > g.listedHi {
+				en.listGroup(g, hi)
 			}
 		}
 	}
@@ -668,44 +857,84 @@ func (en *Engine) closeUpTo(t int64) {
 	}
 }
 
-// emitWindow delivers window win's results in the canonical (query,
-// window, group) order. Group state lives in a map, so the raw iteration
-// order is not deterministic; staging the window in emitBuf and sorting
-// makes the OnResult sink order identical across runs — and identical to
-// the parallel executor's merge order — so sinks (the server's push
-// subscriptions, the harness) can rely on it without re-sorting.
+// emitWindow closes window win: it delivers the window's results in the
+// canonical (query, window, group) order — identical across runs and to
+// the parallel executor's merge order, so sinks (the server's push
+// subscriptions, the harness) can rely on it without re-sorting — and
+// releases the window's stage state. It visits the window's close list
+// only: a group with neither a credited completion nor a snapshot entry
+// in win has nothing to emit and nothing to release.
 //
 //sharon:hotpath
 //sharon:deterministic
 func (en *Engine) emitWindow(win int64) {
+	slot := win & en.activeMask
+	list := en.active[slot]
+	if en.opts.EmitEmpty {
+		list = en.every
+	}
+	slices.SortFunc(list, cmpGroupKey)
 	if win > en.bound {
 		// A bounded engine never emits past its bound; skip the
 		// combination reads but still release ring state so slots recycle.
-		//sharon:allow deterministicemit (release-only: nothing is emitted for a window past the bound, so iteration order is unobservable)
-		for _, g := range en.groups {
+		for _, g := range list {
 			g.release(win)
 		}
-		return
+	} else {
+		en.emitGroups(win, list)
 	}
-	en.emitBuf = en.emitBuf[:0]
-	//sharon:allow deterministicemit (the map range only stages into emitBuf; the sort below fixes the (query, window, group) emit order)
-	for _, g := range en.groups {
-		// Read every chain's window state before releasing any stage:
-		// merged stages are aliased by several chains, so an interleaved
-		// read/release would clear a ring slot a later chain still needs.
-		for _, ch := range g.chains {
-			state := ch.windowState(win)
+	clear(en.active[slot])
+	en.active[slot] = en.active[slot][:0]
+}
+
+// emitGroups evaluates, emits and releases window win for the groups of
+// its close list, given in key order. Each group evaluates its distinct
+// final stages once and stages its non-empty results in query-ID order;
+// a counting pass over the query ranks then places the staged (group,
+// query)-ordered results in (query, group) order, in O(results + queries)
+// without comparing results.
+//
+//sharon:hotpath
+//sharon:deterministic
+func (en *Engine) emitGroups(win int64, list []*engineGroup) {
+	t := en.tmpl
+	en.stageBuf, en.stageRank = en.stageBuf[:0], en.stageRank[:0]
+	off := en.rankOff // off[r+1] counts rank r, then off[r] is where rank r starts
+	clear(off)
+	for _, g := range list {
+		// Read every final stage before releasing any stage: a released
+		// ring slot may belong to a merged stage a later read still needs.
+		for fi, si := range t.finals {
+			en.finalVals[fi] = g.stages[si].currentValue(win)
+		}
+		for rank, sl := range t.emit {
+			state := en.finalVals[sl.final]
 			if state.Count > 0 || en.opts.EmitEmpty {
-				en.emitBuf = append(en.emitBuf, Result{Query: ch.proto.q.ID, Win: win, Group: g.key, State: state}) //sharon:allow hotpathalloc (amortized: emitBuf is reset to length 0 and reused every window)
+				en.stageBuf = append(en.stageBuf, Result{Query: sl.query, Win: win, Group: g.key, State: state}) //sharon:allow hotpathalloc (amortized: stageBuf is reset to length 0 and reused every window)
+				en.stageRank = append(en.stageRank, rank)                                                        //sharon:allow hotpathalloc (amortized: grows in step with stageBuf)
+				off[rank+1]++
 			}
 		}
 		g.release(win)
 	}
-	slices.SortFunc(en.emitBuf, cmpResult)
-	for _, r := range en.emitBuf {
-		en.emit(r)
+	for r := 1; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+	en.emitBuf = slices.Grow(en.emitBuf[:0], len(en.stageBuf))[:len(en.stageBuf)]
+	for i, rank := range en.stageRank {
+		en.emitBuf[off[rank]] = en.stageBuf[i]
+		off[rank]++
+	}
+	for i := range en.emitBuf {
+		en.emit(en.emitBuf[i])
 	}
 }
+
+// cmpGroupKey orders groups by key.
+//
+//sharon:hotpath
+//sharon:deterministic
+func cmpGroupKey(a, b *engineGroup) int { return cmp.Compare(a.key, b.key) }
 
 // AdvanceWatermark closes every window ending at or before t without
 // consuming an event, and extends the flushable range exactly as an
@@ -752,33 +981,19 @@ func (en *Engine) Flush() error {
 //
 //sharon:hotpath
 func (en *Engine) sampleMemory() {
-	n := en.LiveStates()
-	if n > en.peakLive {
-		en.peakLive = n
+	if en.live > en.peakLive {
+		en.peakLive = en.live
 	}
 }
 
-// LiveStates counts all aggregate states currently held: aggregator
-// prefix/total states plus the chains' combination and snapshot entries.
+// LiveStates reports all aggregate states currently held: aggregator
+// prefix/total states plus the chains' snapshot entries. The count is
+// kept where states are created and dropped (the aggregators' own
+// counters as they process, snapshot captures and releases, groups
+// grafted in or removed), not recounted.
 //
 //sharon:hotpath
-func (en *Engine) LiveStates() int64 {
-	var n int64
-	for _, g := range en.groups {
-		for _, node := range g.nodes {
-			n += node.agg.LiveStates()
-		}
-		for _, st := range g.stages {
-			if st.idx == 0 {
-				continue
-			}
-			for _, entries := range st.snapRing {
-				n += int64(len(entries))
-			}
-		}
-	}
-	return n
-}
+func (en *Engine) LiveStates() int64 { return en.live }
 
 // PeakLiveStates reports the peak sampled live-state count.
 func (en *Engine) PeakLiveStates() int64 {

@@ -20,7 +20,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/sharon-project/sharon/internal/agg"
 	"github.com/sharon-project/sharon/internal/event"
@@ -187,19 +187,10 @@ func (rs *resultSink) emit(r Result) {
 	}
 }
 
-// lessResult is the canonical (query, window, group) result order used
-// by every executor's Results() and by the parallel merge stage — a
-// single definition keeps the parallel-equals-sequential byte-for-byte
-// guarantee intact.
-//
-//sharon:hotpath
-//sharon:deterministic
-func lessResult(a, b Result) bool {
-	return cmpResult(a, b) < 0
-}
-
-// cmpResult is lessResult as a three-way comparison for slices.SortFunc
-// (the sequential executors' within-window emission sort).
+// cmpResult is the canonical (query, window, group) result order used by
+// every executor's Results() and by the parallel merge stage — a single
+// definition keeps the parallel-equals-sequential byte-for-byte guarantee
+// intact.
 //
 //sharon:hotpath
 //sharon:deterministic
@@ -222,7 +213,7 @@ func (rs *resultSink) Results() []Result {
 	}
 	out := make([]Result, len(rs.results))
 	copy(out, rs.results)
-	sort.Slice(out, func(i, j int) bool { return lessResult(out[i], out[j]) })
+	slices.SortFunc(out, cmpResult)
 	return out
 }
 

@@ -159,7 +159,7 @@ func TestResultsSorted(t *testing.T) {
 	})
 	rs := en.Results()
 	for i := 1; i < len(rs); i++ {
-		if lessResult(rs[i], rs[i-1]) {
+		if cmpResult(rs[i], rs[i-1]) < 0 {
 			t.Fatalf("results not sorted at %d: %v", i, rs)
 		}
 	}

@@ -122,19 +122,30 @@ func (en *Engine) AbsorbSlice(sl *EngineSnapshot) error {
 }
 
 // RemoveGroups deletes every group whose key satisfies drop and reports
-// how many were removed (the error is always nil on an Engine). Group state is per-group (aggregators, slabs,
-// and freelists are owned by the group's own aggregator instances), so
-// removal is a plain map delete; subsequent events for a removed key
-// would rebuild it from scratch — the caller (the cluster extract path)
-// re-routes those events away before removing.
+// how many were removed (the error is always nil on an Engine). Group
+// state is per-group (aggregators, slabs, and freelists are owned by the
+// group's own aggregator instances), so removal is a map delete plus
+// taking the group off the open windows' close lists and its states out
+// of the live count; subsequent events for a removed key would rebuild it
+// from scratch — the caller (the cluster extract path) re-routes those
+// events away before removing.
 func (en *Engine) RemoveGroups(drop func(event.GroupKey) bool) (int, error) {
 	n := 0
-	for k := range en.groups {
+	for k, g := range en.groups {
 		if drop(k) {
 			delete(en.groups, k)
+			en.live -= g.liveStates()
 			n++
 		}
 	}
+	if n == 0 {
+		return 0, nil
+	}
+	removed := func(g *engineGroup) bool { return en.groups[g.key] != g }
+	for i, list := range en.active {
+		en.active[i] = slices.DeleteFunc(list, removed)
+	}
+	en.every = slices.DeleteFunc(en.every, removed)
 	return n, nil
 }
 

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,7 +36,7 @@ func groupedQuery(f *fixture, id int, pat string, win, slide int64) *query.Query
 
 func sortedResults(rs []Result) []Result {
 	out := append([]Result(nil), rs...)
-	sort.Slice(out, func(i, j int) bool { return lessResult(out[i], out[j]) })
+	slices.SortFunc(out, cmpResult)
 	return out
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"testing"
+	"time"
 
 	"github.com/sharon-project/sharon/internal/core"
 	"github.com/sharon-project/sharon/internal/event"
@@ -119,5 +120,92 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	b.ReportMetric(0, "ns/op")
 	if got > maxHotPathAllocsPerEvent {
 		b.Fatalf("steady-state allocs/event = %.4f, budget %.2f", got, maxHotPathAllocsPerEvent)
+	}
+}
+
+// windowCloseRig isolates the close path: it feeds one slide of events,
+// then closes the window that slide completes with AdvanceWatermark, so
+// the close can be timed (and its allocations counted) apart from the
+// per-event work. The workload is newHotPathRig's; the stream hands each
+// run of four events (one A, B, C, D) to the group key picks for it, on a
+// fixed cycle, so the engine reaches a true steady state.
+type windowCloseRig struct {
+	*hotPathRig
+	key     func(run int64) event.GroupKey
+	closeNs time.Duration
+}
+
+// windowCloseRigs are the two ends of activity density: 50 groups that
+// all emit in every window, and 2000 groups of which a closing window
+// holds results from the 20 hot ones (four runs in five) and from the
+// ~50 cold ones whose turn fell inside it.
+var windowCloseRigs = []struct {
+	name   string
+	warmup int // windows until every group's pools and rings are warm
+	key    func(run int64) event.GroupKey
+}{
+	{"dense-50-groups", 100, func(run int64) event.GroupKey { return event.GroupKey(run % 50) }},
+	{"sparse-2000-groups", 4000, func(run int64) event.GroupKey {
+		if run%5 < 4 {
+			return event.GroupKey(run % 20)
+		}
+		return event.GroupKey(20 + run/5%1980)
+	}},
+}
+
+func newWindowCloseRig(tb testing.TB, key func(int64) event.GroupKey, warmup int) *windowCloseRig {
+	r := &windowCloseRig{hotPathRig: newHotPathRig(tb), key: key}
+	r.windows(tb, warmup)
+	r.closeNs = 0
+	return r
+}
+
+// windows feeds and closes n further windows.
+func (r *windowCloseRig) windows(tb testing.TB, n int) {
+	for ; n > 0; n-- {
+		// The slide's events stop one tick short of the window end, which
+		// the watermark then takes.
+		for k := int64(1); k < r.en.win.Slide; k++ {
+			e := event.Event{Time: r.clock, Type: r.types[r.i%4], Key: r.key(r.i / 4), Val: float64(r.i%7) + 1}
+			r.clock++
+			r.i++
+			if err := r.en.Process(e); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		t0 := time.Now()
+		r.en.AdvanceWatermark(r.clock)
+		r.closeNs += time.Since(t0)
+		r.clock++
+	}
+}
+
+// BenchmarkWindowClose measures what closing one window costs, in the
+// ns/window metric (ns/op also includes feeding the window's slide of
+// events). Steady state allocates nothing; TestWindowCloseAllocs gates it.
+func BenchmarkWindowClose(b *testing.B) {
+	for _, rig := range windowCloseRigs {
+		b.Run(rig.name, func(b *testing.B) {
+			r := newWindowCloseRig(b, rig.key, rig.warmup)
+			b.ReportAllocs()
+			b.ResetTimer()
+			r.windows(b, b.N)
+			b.ReportMetric(float64(r.closeNs.Nanoseconds())/float64(b.N), "ns/window")
+		})
+	}
+}
+
+// TestWindowCloseAllocs fails `go test` when feeding and closing windows
+// allocates at steady state, whatever share of the groups is active.
+func TestWindowCloseAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement needs the full warm-up")
+	}
+	for _, rig := range windowCloseRigs {
+		r := newWindowCloseRig(t, rig.key, rig.warmup)
+		const chunk = 50
+		if got := testing.AllocsPerRun(10, func() { r.windows(t, chunk) }); got > 0 {
+			t.Errorf("%s: %.0f allocations per %d windows at steady state, want 0", rig.name, got, chunk)
+		}
 	}
 }

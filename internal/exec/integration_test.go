@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -184,15 +185,8 @@ func TestPartitionedUnderMixedWindows(t *testing.T) {
 		}
 		want = append(want, oracle...)
 	}
-	sortOK := func(rs []Result) {
-		for i := 1; i < len(rs); i++ {
-			for j := i; j > 0 && lessResult(rs[j], rs[j-1]); j-- {
-				rs[j], rs[j-1] = rs[j-1], rs[j]
-			}
-		}
-	}
-	sortOK(want)
-	sortOK(got)
+	slices.SortFunc(want, cmpResult)
+	slices.SortFunc(got, cmpResult)
 	if msg := diffResults(want, got); msg != "" {
 		t.Fatal(msg)
 	}

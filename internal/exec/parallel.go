@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -561,11 +561,11 @@ func (p *Parallel) emitReady(buckets map[int64][]Result, limit int64) {
 			ready = append(ready, end)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+	slices.Sort(ready)
 	for _, end := range ready {
 		rs := buckets[end]
 		delete(buckets, end)
-		sort.Slice(rs, func(i, j int) bool { return lessResult(rs[i], rs[j]) })
+		slices.SortFunc(rs, cmpResult)
 		for _, r := range rs {
 			p.count.Add(1)
 			if p.opts.OnResult != nil {
@@ -716,7 +716,7 @@ func (p *Parallel) Results() []Result {
 	}
 	out := make([]Result, len(p.results))
 	copy(out, p.results)
-	sort.Slice(out, func(i, j int) bool { return lessResult(out[i], out[j]) })
+	slices.SortFunc(out, cmpResult)
 	return out
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/sharon-project/sharon/internal/core"
@@ -100,15 +101,8 @@ func TestPartitionedMatchesPerSegmentOracle(t *testing.T) {
 		want = append(want, oracle...)
 	}
 	// Re-sort both the same way.
-	sortResults := func(rs []Result) {
-		for i := 1; i < len(rs); i++ {
-			for j := i; j > 0 && lessResult(rs[j], rs[j-1]); j-- {
-				rs[j], rs[j-1] = rs[j-1], rs[j]
-			}
-		}
-	}
-	sortResults(want)
-	sortResults(got)
+	slices.SortFunc(want, cmpResult)
+	slices.SortFunc(got, cmpResult)
 	if msg := diffResults(want, got); msg != "" {
 		t.Fatal(msg)
 	}

@@ -179,8 +179,8 @@ func (en *Engine) snapshotGroup(g *engineGroup) GroupSnapshot {
 	for i, node := range g.nodes {
 		gs.Nodes[i] = node.agg.Snapshot()
 	}
-	for ci, ch := range g.chains {
-		for si, st := range ch.stages {
+	for ci, stages := range g.chains {
+		for si, st := range stages {
 			if si == 0 {
 				continue
 			}
@@ -251,10 +251,14 @@ func (en *Engine) restoreGroup(gs *GroupSnapshot) error {
 		return fmt.Errorf("exec: duplicate group %d in snapshot", gs.Key)
 	}
 	g := en.buildGroup(gs.Key)
-	en.groups[gs.Key] = g
+	en.addGroup(g)
 	if len(gs.Nodes) != len(g.nodes) {
 		return fmt.Errorf("exec: snapshot group %d has %d aggregators, engine builds %d (workload or plan changed)", gs.Key, len(gs.Nodes), len(g.nodes))
 	}
+	// The close lists and the live-state count are derived state, absent
+	// from the snapshot: hi collects the last open window the group is
+	// credited or captured in, and both are rebuilt once its state is in.
+	hi := int64(-1)
 	recsOf := make(map[*aggNode]map[int64]*agg.StartRec, len(g.nodes))
 	for i, node := range g.nodes {
 		byID, err := node.agg.Restore(gs.Nodes[i])
@@ -263,16 +267,19 @@ func (en *Engine) restoreGroup(gs *GroupSnapshot) error {
 		}
 		//sharon:allow slablifecycle (transient restore index used to rewire chain stages below; dead after this function)
 		recsOf[node] = byID
+		if node.emits {
+			hi = max(hi, node.agg.MaxCredited())
+		}
 	}
 	for _, ss := range gs.Stages {
 		if ss.Chain < 0 || ss.Chain >= len(g.chains) {
 			return fmt.Errorf("exec: snapshot chain %d out of range", ss.Chain)
 		}
-		ch := g.chains[ss.Chain]
-		if ss.Stage < 1 || ss.Stage >= len(ch.stages) {
+		stages := g.chains[ss.Chain]
+		if ss.Stage < 1 || ss.Stage >= len(stages) {
 			return fmt.Errorf("exec: snapshot stage %d out of range for chain %d", ss.Stage, ss.Chain)
 		}
-		st := ch.stages[ss.Stage]
+		st := stages[ss.Stage]
 		st.ensureRing()
 		byID := recsOf[st.node]
 		for _, ws := range ss.Windows {
@@ -286,8 +293,13 @@ func (en *Engine) restoreGroup(gs *GroupSnapshot) error {
 					return fmt.Errorf("exec: snapshot stage entry references unknown START record %d", e.RecID)
 				}
 				st.snapRing[slot] = append(st.snapRing[slot], snapEntry{rec: rec, up: e.Up})
+				hi = max(hi, ws.Win)
 			}
 		}
+	}
+	en.live += g.liveStates()
+	if hi > g.listedHi {
+		en.listGroup(g, hi)
 	}
 	return nil
 }

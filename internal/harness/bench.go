@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -121,11 +122,18 @@ var HotpathBaseline = BenchRecord{
 	Note:               "pinned pre-PR baseline: BenchmarkHotPathProcess at commit c5be38a (map-based winTotals/snaps, unpooled StartRec)",
 }
 
-// Hotpath measures the engine's steady-state per-event cost: a fixed
-// three-query workload (one shared segment) over a 13-group cyclic stream,
-// with engine construction and warm-up excluded from the measured section.
-// It is the JSON-emitting counterpart of BenchmarkHotPathProcess /
-// TestHotPathAllocs in internal/exec.
+// Hotpath measures the engine's steady-state per-event cost on a fixed
+// three-query workload (one shared segment), with engine construction and
+// warm-up excluded from the measured section, over two streams:
+//
+//   - hotpath-steady-state: 13 groups cycling in step with the types, so
+//     every group is active in every window and per-event aggregation
+//     dominates. It is the JSON-emitting counterpart of
+//     BenchmarkHotPathProcess / TestHotPathAllocs in internal/exec.
+//   - hotpath-sparse-close: 2000 groups, 20 of them hot, so a window
+//     closes every 256 events with results from a small share of the
+//     groups and the close path dominates (the counterpart of
+//     BenchmarkWindowClose/sparse-2000-groups).
 func Hotpath(cfg Config) ([]BenchRecord, error) {
 	cfg.fill()
 	reg := event.NewRegistry()
@@ -144,63 +152,67 @@ func Hotpath(cfg Config) ([]BenchRecord, error) {
 		&query.Query{ID: 2, Pattern: pat("AB"), Agg: query.AggSpec{Kind: query.CountStar}, Window: win, GroupBy: true},
 	}
 	plan := core.Plan{core.NewCandidate(pat("CD"), []int{0, 1})}
-	// The stream cycles through the full interned type universe
+	// The streams cycle through the full interned type universe
 	// (reg.Count()), so the engine's dense per-type dispatch tables see
 	// every type they were sized for.
 	nTypes := int64(reg.Count())
 
 	warmup := cfg.scaled(100000)
 	measured := cfg.scaled(1000000)
-	mkStream := func(from, n int) event.Stream {
+	mkStream := func(n int, key func(i int64) event.GroupKey) event.Stream {
 		out := make(event.Stream, n)
-		for k := 0; k < n; k++ {
-			i := int64(from + k)
-			// 13 groups: coprime to the type cycle, so every group sees
-			// every type and the full match/extend path is exercised.
-			out[k] = event.Event{
-				Time: 1 + i,
-				Type: types[i%nTypes],
-				Key:  event.GroupKey(i % 13),
-				Val:  float64(i%7) + 1,
-			}
+		for k := range out {
+			i := int64(k)
+			out[k] = event.Event{Time: 1 + i, Type: types[i%nTypes], Key: key(i), Val: float64(i%7) + 1}
 		}
 		return out
 	}
-	warm := mkStream(0, warmup)
-	meas := mkStream(warmup, measured)
+	// 13 groups: coprime to the type cycle, so every group sees every
+	// type and the full match/extend path is exercised.
+	steady := mkStream(warmup+measured, func(i int64) event.GroupKey { return event.GroupKey(i % 13) })
+	// 2000 groups, 20 of them taking four events in five: the warm-up
+	// builds every group, and a closing window holds results from the hot
+	// groups and a handful of the cold ones.
+	rng := rand.New(rand.NewSource(1))
+	sparse := mkStream(warmup+measured, func(int64) event.GroupKey {
+		if rng.Intn(5) < 4 {
+			return event.GroupKey(rng.Intn(20))
+		}
+		return event.GroupKey(20 + rng.Intn(1980))
+	})
 
-	var out []BenchRecord
+	sharonEngine := func() (exec.Executor, error) { return exec.NewEngine(wl, plan, exec.Options{}) }
+	aseqEngine := func() (exec.Executor, error) { return exec.NewEngine(wl, nil, exec.Options{}) }
 	runs := []struct {
-		name string
-		mk   func() (exec.Executor, error)
+		name   string
+		stream event.Stream
+		mk     func() (exec.Executor, error)
 	}{
-		{"sharon", func() (exec.Executor, error) {
-			return exec.NewEngine(wl, plan, exec.Options{})
-		}},
-		{"aseq", func() (exec.Executor, error) {
-			return exec.NewEngine(wl, nil, exec.Options{})
-		}},
-		{"sharon-parallel-4w", func() (exec.Executor, error) {
+		{"hotpath-steady-state/sharon", steady, sharonEngine},
+		{"hotpath-steady-state/aseq", steady, aseqEngine},
+		{"hotpath-steady-state/sharon-parallel-4w", steady, func() (exec.Executor, error) {
 			return exec.NewParallelEngine(wl, plan, 4, exec.Options{})
 		}},
+		{"hotpath-sparse-close/sharon", sparse, sharonEngine},
+		{"hotpath-sparse-close/aseq", sparse, aseqEngine},
 	}
+	var out []BenchRecord
 	for _, r := range runs {
 		ex, err := r.mk()
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range warm {
+		for _, e := range r.stream[:warmup] {
 			if err := ex.Process(e); err != nil {
-				return nil, fmt.Errorf("hotpath %s warmup: %w", r.name, err)
+				return nil, fmt.Errorf("%s warmup: %w", r.name, err)
 			}
 		}
-		stats, err := Run(ex, meas)
+		stats, err := Run(ex, r.stream[warmup:])
 		if err != nil {
-			return nil, fmt.Errorf("hotpath %s: %w", r.name, err)
+			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
-		cfg.Progress("hotpath %s: %s", r.name, stats)
-		rec := NewBenchRecord("hotpath-steady-state/"+r.name, stats)
-		out = append(out, rec)
+		cfg.Progress("%s: %s", r.name, stats)
+		out = append(out, NewBenchRecord(r.name, stats))
 	}
 	return out, nil
 }

@@ -648,10 +648,12 @@ func (s *Server) completeHandoff() {
 }
 
 // publishEngineStats refreshes the /metrics gauges that require
-// touching pump-owned engine state. PeakMemoryStates scans every live
-// aggregate state on the sequential path, so the refresh is rate-
-// limited to twice a second rather than paid per batch; the watermark
-// gauge is a cheap atomic and always current.
+// touching pump-owned engine state. The peak-state and group gauges are
+// counter reads, but a sharded system's stats snapshot allocates per
+// worker and, under -dynamic, the prune count walks every group's
+// aggregators, so the refresh is rate-limited to twice a second rather
+// than paid per batch; the watermark gauge is a cheap atomic and always
+// current.
 func (s *Server) publishEngineStats(force bool) {
 	s.wm.Store(s.wmState)
 	if !force && time.Since(s.lastStatsAt) < 500*time.Millisecond {

@@ -7,6 +7,7 @@
 package sharon_test
 
 import (
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -51,6 +52,24 @@ func genBursty(t *testing.T) (sharon.Workload, sharon.Stream) {
 		Period: 8, Duty: 0.25,
 		Shape: gen.ShapeSquare, Seed: 11,
 	})
+	return w, stream
+}
+
+// genIdleGroups re-keys the bursty stream over 600 groups, 8 of them hot:
+// in any one window most groups have nothing to emit, so window close
+// must find the few that do without losing or reordering any.
+func genIdleGroups(t *testing.T) (sharon.Workload, sharon.Stream) {
+	t.Helper()
+	w, bursty := genBursty(t)
+	rng := rand.New(rand.NewSource(23))
+	stream := append(sharon.Stream(nil), bursty...)
+	for i := range stream {
+		if rng.Intn(10) < 7 {
+			stream[i].Key = sharon.GroupKey(rng.Intn(8))
+		} else {
+			stream[i].Key = sharon.GroupKey(8 + rng.Intn(592))
+		}
+	}
 	return w, stream
 }
 
@@ -173,6 +192,7 @@ type kindCounters struct{ migrations, decisions int }
 func systemKinds(t *testing.T) []systemKind {
 	bw, bs := genBursty(t)
 	mw, ms := genMixed(t)
+	iw, is := genIdleGroups(t)
 	rates := sharon.MeasureRates(bs[:500], bw)
 	dynamic := func(adaptive bool) func(*kindCounters) sharon.Options {
 		return func(c *kindCounters) sharon.Options {
@@ -193,6 +213,8 @@ func systemKinds(t *testing.T) []systemKind {
 		{"multi-segment", mw, ms, 3, func(*kindCounters) sharon.Options { return sharon.Options{} }},
 		{"dynamic", bw, bs, 1, dynamic(false)},
 		{"adaptive", bw, bs, 1, dynamic(true)},
+		{"idle-groups", iw, is, 1, func(*kindCounters) sharon.Options { return sharon.Options{Rates: rates} }},
+		{"idle-groups-dynamic", iw, is, 1, dynamic(false)},
 	}
 }
 
@@ -208,8 +230,9 @@ func feedUneven(t *testing.T, sys *sharon.System, stream sharon.Stream) {
 }
 
 // TestSystemMatrix is the public acceptance check: {uniform, non-shared,
-// multi-segment, dynamic, adaptive} × {Parallelism 1, 4} × {collect,
-// OnResult} all equal the sequential uniform reference byte for byte,
+// multi-segment, dynamic, adaptive, and the static and dynamic executors
+// over 600 mostly idle groups} × {Parallelism 1, 4} × {collect, OnResult}
+// all equal the sequential uniform reference byte for byte,
 // and the Results()/sink duality holds on each: a system with an
 // attached sink never retains results while ResultCount still reports
 // the delivered total.
@@ -286,19 +309,23 @@ func TestSystemMatrix(t *testing.T) {
 					if ds.ShareTransitions+ds.SplitTransitions != c.decisions {
 						t.Fatalf("share+split = %d+%d, OnDecision fired %d times", ds.ShareTransitions, ds.SplitTransitions, c.decisions)
 					}
-					switch kind.name {
-					case "dynamic":
+					switch {
+					case kind.name == "dynamic":
 						if ds.Migrations == 0 {
 							t.Error("the bursty stream triggered no plan migration")
 						}
-					case "adaptive":
+					case kind.name == "adaptive":
 						if ds.ShareTransitions == 0 || ds.SplitTransitions == 0 {
 							t.Errorf("share=%d split=%d transitions, want both", ds.ShareTransitions, ds.SplitTransitions)
 						}
-					default:
+					case opts.Dynamic == nil:
 						if ds != (sharon.DynamicStats{}) {
 							t.Errorf("DynamicStats without Options.Dynamic = %+v", ds)
 						}
+					}
+					// (A dynamic run counts its current engine's groups only.)
+					if kind.name == "idle-groups" && sys.GroupCount() < 500 {
+						t.Errorf("GroupCount() = %d, want the stream's 500+ groups", sys.GroupCount())
 					}
 					_ = sys.Plan() // post-flush introspection reads worker-owned state
 				})
@@ -419,10 +446,10 @@ func TestNewSystemRejects(t *testing.T) {
 // sharded; the others refuse without touching state.
 func TestSystemGroupSlicesNeedUniformStatic(t *testing.T) {
 	for _, kind := range systemKinds(t) {
-		hosts := kind.name == "uniform" || kind.name == "non-shared"
 		for _, mode := range execModes {
 			par := mode.par
 			opts := kind.opts(&kindCounters{})
+			hosts := kind.segments == 1 && opts.Dynamic == nil
 			opts.Parallelism = par
 			sys, err := sharon.NewSystem(kind.w, opts)
 			if err != nil {
