@@ -1,7 +1,7 @@
 // Ablation benchmarks for the optimizer's design choices called out in
-// DESIGN.md: the GWMIN-bound graph reduction (§5), the invalid-branch
-// pruning of the plan finder vs. exhaustive enumeration (§6), and the
-// conflict-resolution expansion (§7.1). Each pair isolates one mechanism
+// DESIGN.md: the GWMIN-bound graph reduction (§5), the branch-and-bound
+// plan search vs. exhaustive enumeration (§6), and the conflict-resolution
+// expansion (§7.1). Each pair isolates one mechanism
 // on the same input.
 package sharon_test
 
@@ -36,7 +36,7 @@ func ablationGraph(b *testing.B, nq int) (*core.Graph, *core.CostModel) {
 	return g, model
 }
 
-// BenchmarkAblationReduction compares the plan finder with and without
+// BenchmarkAblationReduction compares the plan search with and without
 // the §5 GWMIN-bound reduction on the same graph.
 func BenchmarkAblationReduction(b *testing.B) {
 	g, _ := ablationGraph(b, 40)
@@ -44,7 +44,7 @@ func BenchmarkAblationReduction(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			red := core.Reduce(g)
-			_, score, _ := core.FindOptimalPlan(red.Reduced, red.ConflictFree, time.Time{})
+			_, score, _ := core.SearchPlan(red.Reduced, red.ConflictFree, time.Time{})
 			if score <= 0 {
 				b.Fatal("no plan")
 			}
@@ -53,7 +53,7 @@ func BenchmarkAblationReduction(b *testing.B) {
 	b.Run("without-reduction", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, score, _ := core.FindOptimalPlan(g, nil, time.Time{})
+			_, score, _ := core.SearchPlan(g, nil, time.Time{})
 			if score <= 0 {
 				b.Fatal("no plan")
 			}
@@ -61,8 +61,8 @@ func BenchmarkAblationReduction(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPlanFinderVsExhaustive compares the Apriori-style
-// valid-space traversal (§6) against full subset enumeration.
+// BenchmarkAblationPlanFinderVsExhaustive compares the clique-bounded
+// branch and bound (§6) against full subset enumeration.
 func BenchmarkAblationPlanFinderVsExhaustive(b *testing.B) {
 	g, _ := ablationGraph(b, 40)
 	if g.NumVertices() > 22 {
@@ -71,7 +71,7 @@ func BenchmarkAblationPlanFinderVsExhaustive(b *testing.B) {
 	b.Run("plan-finder", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.FindOptimalPlan(g, nil, time.Time{})
+			core.SearchPlan(g, nil, time.Time{})
 		}
 	})
 	b.Run("exhaustive", func(b *testing.B) {
@@ -92,7 +92,7 @@ func BenchmarkAblationExpansion(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			red := core.Reduce(g)
-			core.FindOptimalPlan(red.Reduced, red.ConflictFree, time.Time{})
+			core.SearchPlan(red.Reduced, red.ConflictFree, time.Time{})
 		}
 	})
 	b.Run("with-expansion", func(b *testing.B) {
@@ -100,7 +100,7 @@ func BenchmarkAblationExpansion(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eg := model.Expand(g, cfg)
 			red := core.Reduce(eg)
-			core.FindOptimalPlan(red.Reduced, red.ConflictFree, time.Now().Add(5*time.Second))
+			core.SearchPlan(red.Reduced, red.ConflictFree, time.Time{})
 		}
 	})
 }

@@ -86,7 +86,7 @@ func runExecutor(b *testing.B, mk func() (exec.Executor, error), stream event.St
 
 // BenchmarkTable1Candidates regenerates Table 1: sharable-pattern
 // detection (modified CCSpan) plus Sharon graph construction and the plan
-// finder on the paper's traffic workload.
+// search on the paper's traffic workload.
 func BenchmarkTable1Candidates(b *testing.B) {
 	tr := gen.Traffic()
 	rates := core.Rates{}
@@ -102,7 +102,7 @@ func BenchmarkTable1Candidates(b *testing.B) {
 		model := core.NewCostModel(tr.Workload, rates)
 		g := core.BuildGraph(model, cands)
 		red := core.Reduce(g)
-		core.FindOptimalPlan(red.Reduced, red.ConflictFree, time.Time{})
+		core.SearchPlan(red.Reduced, red.ConflictFree, time.Time{})
 	}
 }
 

@@ -32,7 +32,7 @@ func main() {
 		workload = flag.String("workload", "traffic", "built-in workload: traffic or purchases")
 		file     = flag.String("file", "", "file with one query per line (overrides -workload)")
 		ratesArg = flag.String("rates", "", "comma-separated Type=rate pairs (default: uniform 10/s)")
-		budget   = flag.Duration("budget", 10*time.Second, "plan finder time budget")
+		budget   = flag.Duration("budget", 10*time.Second, "plan search time budget")
 		expand   = flag.Bool("expand", true, "apply §7.1 conflict-resolution expansion")
 	)
 	flag.Parse()
@@ -78,8 +78,8 @@ func main() {
 			fmt.Printf("  phase %-7s %10v  (%d entries)\n", ph.Name, ph.Elapsed.Round(time.Microsecond), ph.LiveStates)
 		}
 		if strat == core.StrategySharon {
-			fmt.Printf("  reduction: %d conflict-ridden pruned, %d conflict-free, %d valid plans considered\n",
-				res.PrunedConflictRidden, res.ConflictFree, res.FinderStats.PlansConsidered)
+			fmt.Printf("  reduction: %d conflict-ridden pruned, %d conflict-free; search: %d nodes, gap %.4g (timed out: %v)\n",
+				res.PrunedConflictRidden, res.ConflictFree, res.FinderStats.PlansConsidered, res.FinderStats.Gap, res.FinderStats.TimedOut)
 		}
 		fmt.Printf("  plan: %s\n", res.Plan.Format(reg, w))
 	}

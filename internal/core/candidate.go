@@ -3,8 +3,8 @@
 // prices sharing candidates with the benefit model (§3), encodes candidates
 // and conflicts into the Sharon graph (§4), prunes the graph using GWMIN's
 // guaranteed weight (§5, Appendix B), searches the valid plan space with
-// the Apriori-style plan finder (§6), and optionally expands candidates to
-// resolve conflicts (§7.1).
+// a clique-bounded branch and bound (§6), and optionally expands
+// candidates to resolve conflicts (§7.1).
 package core
 
 import (

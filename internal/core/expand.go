@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"github.com/sharon-project/sharon/internal/query"
@@ -108,12 +110,24 @@ func (m *CostModel) Expand(g *Graph, cfg ExpandConfig) *Graph {
 // vertex of g is expanded into its set of options, each option is weighted
 // by weigh (typically CostModel.BValue; non-positive options are dropped
 // per Definition 10), and conflicts among all options are recomputed.
+//
+// An option only shrinks its base candidate's query set, so options a and
+// b conflict exactly when Qa ∩ Qb meets the queries in which their base
+// patterns overlap. That overlap is computed once per base pair that can
+// conflict: a vertex with itself, or an edge of g (whose edges must be its
+// conflicts, as BuildGraph builds them). Each option pair then costs one
+// AND over query bitsets.
 func ExpandGraph(g *Graph, byID map[int]*query.Query, weigh func(Candidate) float64, cfg ExpandConfig) *Graph {
 	maxVerts := cfg.MaxTotalVertices
 	if maxVerts <= 0 {
 		maxVerts = DefaultMaxVertices
 	}
-	var all []Candidate
+	type option struct {
+		Candidate
+		key  string
+		base int // vertex of g the option was expanded from
+	}
+	var all []option
 	seen := make(map[string]bool)
 	for vi := range g.Vertices {
 		opts := []Candidate{g.Vertices[vi].Candidate}
@@ -127,24 +141,70 @@ func ExpandGraph(g *Graph, byID map[int]*query.Query, weigh func(Candidate) floa
 			k := opt.Key()
 			if !seen[k] {
 				seen[k] = true
-				all = append(all, opt)
+				all = append(all, option{opt, k, vi})
 			}
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key() < all[j].Key() })
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
 
-	out := NewGraph()
-	for _, c := range all {
-		w := weigh(c)
+	pos := make(map[int]int, len(byID)) // query ID -> bit
+	for _, id := range slices.Sorted(maps.Keys(byID)) {
+		pos[id] = len(pos)
+	}
+	querySet := func(ids []int) bitset {
+		b := newBitset(len(pos))
+		for _, id := range ids {
+			if p, ok := pos[id]; ok {
+				b.set(p)
+			}
+		}
+		return b
+	}
+
+	out := &Graph{queries: byID}
+	var sets []bitset
+	byBase := make([][]int, g.NumVertices())
+	for _, o := range all {
+		w := weigh(o.Candidate)
 		if w <= 0 {
 			continue
 		}
-		vi := out.AddVertex(Vertex{Candidate: c, Weight: w})
-		for ui := 0; ui < vi; ui++ {
-			if conflict, causes := InConflict(byID, out.Vertices[vi].Candidate, out.Vertices[ui].Candidate); conflict {
-				out.AddEdge(vi, ui, causes)
+		vi := out.AddVertex(Vertex{Candidate: o.Candidate, Weight: w})
+		sets = append(sets, querySet(o.Queries))
+		byBase[o.base] = append(byBase[o.base], vi)
+	}
+	for a := range g.Vertices {
+		// b runs over a itself, then a's conflicts above a.
+		for b := a; b >= 0; b = g.adj[a].next(b + 1) {
+			ca, cb := g.Vertices[a].Candidate, g.Vertices[b].Candidate
+			ov := newBitset(len(pos)) // queries in which a's and b's patterns overlap
+			for _, id := range ca.CommonQueries(cb) {
+				if q, ok := byID[id]; ok && PatternsOverlapIn(q, ca.Pattern, cb.Pattern) {
+					ov.set(pos[id])
+				}
+			}
+			for x, i := range byBase[a] {
+				others := byBase[b]
+				if a == b {
+					others = others[x+1:]
+				}
+				for _, j := range others {
+					if meets(sets[i], sets[j], ov) {
+						out.AddEdge(i, j)
+					}
+				}
 			}
 		}
 	}
 	return out
+}
+
+// meets reports whether three equally sized bitsets share a member.
+func meets(a, b, c bitset) bool {
+	for k := range a {
+		if a[k]&b[k]&c[k] != 0 {
+			return true
+		}
+	}
+	return false
 }

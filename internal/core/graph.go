@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/sharon-project/sharon/internal/event"
@@ -18,30 +17,22 @@ type Vertex struct {
 }
 
 // Graph is the Sharon graph (Definition 10): vertices are beneficial
-// sharing candidates, undirected edges are sharing conflicts. It is stored
-// as an adjacency list for O(1) neighbor retrieval, as the paper's data
-// structure section prescribes.
+// sharing candidates, undirected edges are sharing conflicts. Each vertex
+// keeps its conflicts as one adjacency bitset row, so conflict tests,
+// degrees and the plan search's set operations are word operations.
 type Graph struct {
 	Vertices []Vertex
-	// adj[i] holds the indices of vertices in conflict with vertex i,
-	// sorted ascending.
-	adj [][]int
-	// causes[edgeKey(i,j)] records the query IDs causing the conflict;
-	// used by the §7.1 conflict-resolution extension.
-	causes map[[2]int][]int
+	// adj[i] has bit j set when vertices i and j conflict; rows widen as
+	// edges arrive.
+	adj []bitset
+	// queries resolves the query IDs of the workload the graph was built
+	// over, from which EdgeCauses derives conflict causes; nil on graphs
+	// built edge by edge.
+	queries map[int]*query.Query
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{causes: make(map[[2]int][]int)}
-}
-
-func edgeKey(i, j int) [2]int {
-	if i > j {
-		i, j = j, i
-	}
-	return [2]int{i, j}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // AddVertex appends a vertex and returns its index.
 func (g *Graph) AddVertex(v Vertex) int {
@@ -50,52 +41,51 @@ func (g *Graph) AddVertex(v Vertex) int {
 	return len(g.Vertices) - 1
 }
 
-// AddEdge records a conflict between vertices i and j caused by queries.
-func (g *Graph) AddEdge(i, j int, causingQueries []int) {
+// AddEdge records a conflict between vertices i and j; self edges are
+// ignored and a duplicate changes nothing.
+func (g *Graph) AddEdge(i, j int) {
 	if i == j {
 		return
 	}
-	k := edgeKey(i, j)
-	if _, dup := g.causes[k]; dup {
-		return
-	}
-	g.causes[k] = append([]int(nil), causingQueries...)
-	g.adj[i] = insertSorted(g.adj[i], j)
-	g.adj[j] = insertSorted(g.adj[j], i)
-}
-
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	if i < len(s) && s[i] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	g.adj[i] = g.adj[i].grow(j)
+	g.adj[i].set(j)
+	g.adj[j] = g.adj[j].grow(i)
+	g.adj[j].set(i)
 }
 
 // HasEdge reports whether vertices i and j are in conflict.
-func (g *Graph) HasEdge(i, j int) bool {
-	_, ok := g.causes[edgeKey(i, j)]
-	return ok
+func (g *Graph) HasEdge(i, j int) bool { return g.adj[i].has(j) }
+
+// EdgeCauses returns the query IDs causing the conflict between i and j,
+// derived from the workload the graph was built over (nil when i and j
+// do not conflict or the graph was built edge by edge). The §7.1
+// expansion recomputes causes itself; this serves inspection and tests.
+func (g *Graph) EdgeCauses(i, j int) []int {
+	if !g.HasEdge(i, j) {
+		return nil
+	}
+	_, causes := InConflict(g.queries, g.Vertices[i].Candidate, g.Vertices[j].Candidate)
+	return causes
 }
 
-// EdgeCauses returns the query IDs causing the conflict between i and j.
-func (g *Graph) EdgeCauses(i, j int) []int { return g.causes[edgeKey(i, j)] }
-
-// Neighbors returns the vertices in conflict with i (shared slice; do not
-// mutate).
-func (g *Graph) Neighbors(i int) []int { return g.adj[i] }
+// Neighbors returns the vertices in conflict with i, ascending, in a
+// freshly allocated slice.
+func (g *Graph) Neighbors(i int) []int { return g.adj[i].members(nil) }
 
 // Degree returns the number of conflicts of vertex i.
-func (g *Graph) Degree(i int) int { return len(g.adj[i]) }
+func (g *Graph) Degree(i int) int { return g.adj[i].count() }
 
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return len(g.Vertices) }
 
 // NumEdges returns |E|.
-func (g *Graph) NumEdges() int { return len(g.causes) }
+func (g *Graph) NumEdges() int {
+	n := 0
+	for _, row := range g.adj {
+		n += row.count()
+	}
+	return n / 2
+}
 
 // TotalWeight returns the sum of all vertex weights.
 func (g *Graph) TotalWeight() float64 {
@@ -107,13 +97,12 @@ func (g *Graph) TotalWeight() float64 {
 }
 
 // LiveStates estimates the number of stored entries (vertices' query lists
-// plus edges) for the optimizer memory metric.
+// plus adjacency words) for the optimizer memory metric.
 func (g *Graph) LiveStates() int64 {
 	var n int64
-	for _, v := range g.Vertices {
-		n += int64(len(v.Queries)) + 1
+	for i, v := range g.Vertices {
+		n += int64(len(v.Queries)) + 1 + int64(len(g.adj[i]))
 	}
-	n += int64(len(g.causes))
 	return n
 }
 
@@ -121,7 +110,7 @@ func (g *Graph) LiveStates() int64 {
 func (g *Graph) Format(reg *event.Registry, w query.Workload) string {
 	var b strings.Builder
 	for i, v := range g.Vertices {
-		fmt.Fprintf(&b, "v%d %s weight=%.4g conflicts=%v\n", i, v.Format(reg, w), v.Weight, g.adj[i])
+		fmt.Fprintf(&b, "v%d %s weight=%.4g conflicts=%v\n", i, v.Format(reg, w), v.Weight, g.Neighbors(i))
 	}
 	return b.String()
 }
@@ -131,7 +120,7 @@ func (g *Graph) Format(reg *event.Registry, w query.Workload) string {
 // (BValue > 0) and shared by more than one query, and inserts a conflict
 // edge for every overlapping pair.
 func BuildGraph(m *CostModel, candidates []Candidate) *Graph {
-	g := NewGraph()
+	g := &Graph{queries: m.byID}
 	for _, c := range candidates {
 		if len(c.Queries) < 2 {
 			continue
@@ -140,19 +129,14 @@ func BuildGraph(m *CostModel, candidates []Candidate) *Graph {
 		if bv <= 0 {
 			continue // non-beneficial candidate pruning (§3.4)
 		}
-		vi := g.AddVertex(Vertex{Candidate: c, Weight: bv})
-		for ui := 0; ui < vi; ui++ {
-			if conflict, causes := InConflict(m.byID, g.Vertices[vi].Candidate, g.Vertices[ui].Candidate); conflict {
-				g.AddEdge(vi, ui, causes)
-			}
-		}
+		g.addConflicting(Vertex{Candidate: c, Weight: bv})
 	}
 	return g
 }
 
 // BuildGraphWithWeights builds a graph from candidates with externally
 // supplied weights (used by tests reproducing the paper's Figure 4, whose
-// weights come from unpublished rate constants, and by the §7.1 expansion).
+// weights come from unpublished rate constants).
 func BuildGraphWithWeights(w query.Workload, cands []Candidate, weights []float64) *Graph {
 	if len(cands) != len(weights) {
 		panic("core: candidate/weight length mismatch")
@@ -161,19 +145,24 @@ func BuildGraphWithWeights(w query.Workload, cands []Candidate, weights []float6
 	for _, q := range w {
 		byID[q.ID] = q
 	}
-	g := NewGraph()
+	g := &Graph{queries: byID}
 	for i, c := range cands {
-		if weights[i] <= 0 {
-			continue
-		}
-		vi := g.AddVertex(Vertex{Candidate: c, Weight: weights[i]})
-		for ui := 0; ui < vi; ui++ {
-			if conflict, causes := InConflict(byID, g.Vertices[vi].Candidate, g.Vertices[ui].Candidate); conflict {
-				g.AddEdge(vi, ui, causes)
-			}
+		if weights[i] > 0 {
+			g.addConflicting(Vertex{Candidate: c, Weight: weights[i]})
 		}
 	}
 	return g
+}
+
+// addConflicting appends v with an edge to every earlier vertex it is in
+// sharing conflict with (Definition 6).
+func (g *Graph) addConflicting(v Vertex) {
+	vi := g.AddVertex(v)
+	for ui := 0; ui < vi; ui++ {
+		if conflict, _ := InConflict(g.queries, v.Candidate, g.Vertices[ui].Candidate); conflict {
+			g.AddEdge(vi, ui)
+		}
+	}
 }
 
 // GuaranteedWeight implements Eq. 10: GWMIN's guaranteed minimum
@@ -190,31 +179,27 @@ func (g *Graph) GuaranteedWeight() float64 {
 // containing vertex v — the summed weight of all vertices not in conflict
 // with v (including v itself).
 func (g *Graph) ScoreMax(v int) float64 {
-	excluded := make(map[int]bool, g.Degree(v))
-	for _, u := range g.adj[v] {
-		excluded[u] = true
-	}
+	row := g.adj[v]
 	var sum float64
 	for i, vert := range g.Vertices {
-		if !excluded[i] {
+		if !row.has(i) {
 			sum += vert.Weight
 		}
 	}
 	return sum
 }
 
-// subgraph returns the induced subgraph on keep (vertex indices of g),
-// preserving vertex order and edge causes.
+// subgraph returns the induced subgraph on keep (ascending vertex indices
+// of g), preserving vertex order.
 func (g *Graph) subgraph(keep []int) *Graph {
-	remap := make(map[int]int, len(keep))
-	out := NewGraph()
-	for _, oldIdx := range keep {
-		remap[oldIdx] = out.AddVertex(g.Vertices[oldIdx])
+	out := &Graph{queries: g.queries}
+	for _, old := range keep {
+		out.AddVertex(g.Vertices[old])
 	}
-	for _, oldIdx := range keep {
-		for _, u := range g.adj[oldIdx] {
-			if nu, ok := remap[u]; ok {
-				out.AddEdge(remap[oldIdx], nu, g.causes[edgeKey(oldIdx, u)])
+	for a, oa := range keep {
+		for b := a + 1; b < len(keep); b++ {
+			if g.HasEdge(oa, keep[b]) {
+				out.AddEdge(a, b)
 			}
 		}
 	}

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"math/bits"
+	"sort"
+)
+
 // GWMIN implements the greedy minimum-degree algorithm for the Maximum
 // Weight Independent Set problem (Sakai et al., paper Appendix B,
 // Algorithm 8). In each iteration it selects the vertex maximizing
@@ -11,48 +16,46 @@ package core
 // g.GuaranteedWeight() (Eq. 10), which the reduction step exploits.
 func GWMIN(g *Graph) []int {
 	n := g.NumVertices()
-	alive := make([]bool, n)
+	alive := newBitset(n)
 	degree := make([]int, n)
 	for i := 0; i < n; i++ {
-		alive[i] = true
+		alive.set(i)
 		degree[i] = g.Degree(i)
 	}
 	remaining := n
-	var is []int
+	var is, removed []int
 	for remaining > 0 {
 		best := -1
 		var bestRatio float64
-		for i := 0; i < n; i++ {
-			if !alive[i] {
-				continue
-			}
+		for i := alive.next(0); i >= 0; i = alive.next(i + 1) {
 			ratio := g.Vertices[i].Weight / float64(degree[i]+1)
 			if best == -1 || ratio > bestRatio {
 				best = i
 				bestRatio = ratio
 			}
 		}
-		is = insertSorted(is, best)
+		is = append(is, best)
 		// Remove best and its closed neighborhood; update degrees of the
 		// second-order neighbors that stay alive.
-		removed := []int{best}
-		for _, u := range g.Neighbors(best) {
-			if alive[u] {
-				removed = append(removed, u)
+		removed = append(removed[:0], best)
+		for k, w := range g.adj[best] {
+			for w &= alive[k]; w != 0; w &= w - 1 {
+				removed = append(removed, k<<6+bits.TrailingZeros64(w))
 			}
 		}
 		for _, r := range removed {
-			alive[r] = false
-			remaining--
+			alive.clear(r)
 		}
+		remaining -= len(removed)
 		for _, r := range removed {
-			for _, u := range g.Neighbors(r) {
-				if alive[u] {
-					degree[u]--
+			for k, w := range g.adj[r] {
+				for w &= alive[k]; w != 0; w &= w - 1 {
+					degree[k<<6+bits.TrailingZeros64(w)]--
 				}
 			}
 		}
 	}
+	sort.Ints(is)
 	return is
 }
 

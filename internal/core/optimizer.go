@@ -13,7 +13,7 @@ type Strategy int
 const (
 	// StrategySharon is the full Sharon optimizer: graph construction,
 	// conflict-resolution expansion, GWMIN-bound reduction, and the
-	// optimal plan finder.
+	// optimal plan search.
 	StrategySharon Strategy = iota
 	// StrategyGreedy is the greedy optimizer: graph construction followed
 	// by GWMIN (no expansion, no reduction).
@@ -57,8 +57,9 @@ type OptimizerOptions struct {
 	Expand bool
 	// ExpandConfig bounds the expansion.
 	ExpandConfig ExpandConfig
-	// Budget optionally bounds the plan finder; on expiry the optimizer
-	// returns the better of the partial search and GWMIN (§6, case 1).
+	// Budget optionally bounds the plan search; on expiry the optimizer
+	// returns the better of the search's incumbent and GWMIN (§6, case 1),
+	// with FinderStats.Gap bounding the loss.
 	Budget time.Duration
 }
 
@@ -84,7 +85,7 @@ type OptimizerResult struct {
 	PrunedConflictRidden int
 	// ConflictFree counts §5 conflict-free fast-path additions.
 	ConflictFree int
-	// FinderStats describes the plan-finder traversal.
+	// FinderStats describes the plan search.
 	FinderStats PlanFinderStats
 	// PeakLiveStates is the optimizer memory metric: the maximum entries
 	// held across phases.
@@ -161,28 +162,30 @@ func Optimize(w query.Workload, rates Rates, opts OptimizerOptions) (*OptimizerR
 		res.ConflictFree = len(red.ConflictFree)
 		res.addPhase("reduce", time.Since(t2), red.Reduced.LiveStates())
 
-		// Phase 4: plan finder (Algorithms 3–4).
+		// Phase 4: plan search (§6).
 		t3 := time.Now()
 		var deadline time.Time
 		if opts.Budget > 0 {
 			deadline = start.Add(opts.Budget)
 		}
-		plan, score, stats := FindOptimalPlan(red.Reduced, red.ConflictFree, deadline)
-		res.FinderStats = stats
+		plan, score, stats := SearchPlan(red.Reduced, red.ConflictFree, deadline)
 		if stats.TimedOut {
 			// §6 fallback: run GWMIN on both the expanded and the
 			// original graph and keep the best plan seen. A truncated
 			// search must never return less than the greedy optimizer.
+			bound := score + stats.Gap
 			for _, fg := range []*Graph{g, BuildGraph(model, cands)} {
 				set := GWMIN(fg)
 				if gw := fg.SetWeight(set); gw > score {
 					plan, score = fg.PlanOf(set), gw
 				}
 			}
+			stats.Gap = max(0, bound-score)
 		}
+		res.FinderStats = stats
 		res.Plan = plan
 		res.Score = score
-		res.addPhase("find", time.Since(t3), stats.PeakLevelPlans)
+		res.addPhase("find", time.Since(t3), stats.peakHeld)
 		return res, nil
 	}
 	return nil, fmt.Errorf("optimize: unknown strategy %v", opts.Strategy)

@@ -188,18 +188,23 @@ func TestExample7And8Reduction(t *testing.T) {
 	}
 }
 
-// TestExample10And12OptimalPlan: the finder returns
-// {p2, p4, p6, p7} with score 50 after considering exactly 10 valid plans
-// on the reduced graph.
+// TestExample10And12OptimalPlan: the paper's lattice (Algorithm 4)
+// returns {p2, p4, p6, p7} with score 50 after considering exactly 10
+// valid plans on the reduced graph, and the plan search returns the same
+// plan.
 func TestExample10And12OptimalPlan(t *testing.T) {
 	f := newPaperFixture()
 	res := Reduce(f.graph())
-	plan, score, stats := FindOptimalPlan(res.Reduced, res.ConflictFree, time.Time{})
-	if score != 50 {
-		t.Errorf("optimal score = %v, want 50", score)
+	lattice, latticeScore, considered := FindOptimalPlan(res.Reduced, res.ConflictFree)
+	if considered != 10 {
+		t.Errorf("plans considered = %d, want 10 (Example 10)", considered)
 	}
-	if stats.PlansConsidered != 10 {
-		t.Errorf("plans considered = %d, want 10 (Example 10)", stats.PlansConsidered)
+	plan, score, stats := SearchPlan(res.Reduced, res.ConflictFree, time.Time{})
+	if score != 50 || latticeScore != 50 {
+		t.Errorf("optimal score = %v (lattice %v), want 50", score, latticeScore)
+	}
+	if stats.TimedOut || stats.Gap != 0 {
+		t.Errorf("search timed out %v with gap %v", stats.TimedOut, stats.Gap)
 	}
 	wantPatterns := map[string]bool{
 		f.patterns[1].Key(): true, // p2
@@ -207,8 +212,8 @@ func TestExample10And12OptimalPlan(t *testing.T) {
 		f.patterns[5].Key(): true, // p6
 		f.patterns[6].Key(): true, // p7
 	}
-	if len(plan) != 4 {
-		t.Fatalf("plan size = %d, want 4: %v", len(plan), plan)
+	if len(plan) != 4 || !plan.Equal(lattice) {
+		t.Fatalf("plan = %v, lattice plan = %v, want 4 candidates", plan, lattice)
 	}
 	for _, c := range plan {
 		if !wantPatterns[c.Pattern.Key()] {
@@ -272,8 +277,8 @@ func TestExample5PlanScores(t *testing.T) {
 	}
 }
 
-// TestExhaustiveMatchesPlanFinder: the exhaustive optimizer agrees with
-// the plan finder on the paper graph.
+// TestExhaustiveMatchesPlanFinder: the exhaustive optimizer finds the
+// paper graph's optimum of 50.
 func TestExhaustiveMatchesPlanFinder(t *testing.T) {
 	f := newPaperFixture()
 	g := f.graph()
@@ -399,7 +404,7 @@ func TestExpandGraphKeepsOriginals(t *testing.T) {
 	// the original.
 	_, s1, _ := ExhaustivePlanSearch(g)
 	red := Reduce(eg)
-	_, s2, _ := FindOptimalPlan(red.Reduced, red.ConflictFree, time.Time{})
+	_, s2, _ := SearchPlan(red.Reduced, red.ConflictFree, time.Time{})
 	if s2 < s1 {
 		t.Errorf("expanded optimum %v below original %v", s2, s1)
 	}

@@ -1,173 +1,258 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
 
-// foundPlan is a valid sharing plan during the lattice traversal: a sorted
-// list of vertex indices and its score (Definition 8). Candidates are kept
-// sorted within a plan so that plans sharing their first s-1 decisions are
-// lexicographic neighbors, enabling the Apriori-style join of Algorithm 3.
-type foundPlan struct {
-	verts []int
-	score float64
-}
-
-// PlanFinderStats reports the work done by the plan finder (used by the
-// Figure 15 experiment).
+// PlanFinderStats reports the work done by the plan search (used by the
+// Figure 15 experiment and the benchmark's per-layer metrics).
 type PlanFinderStats struct {
-	// PlansConsidered counts the valid plans materialized (Example 10's
-	// "10 valid plans").
+	// PlansConsidered counts the search nodes: the valid partial plans
+	// the branch and bound extended.
 	PlansConsidered int64
-	// PeakLevelPlans is the maximum number of plans held at once — the
-	// finder keeps only one level at a time (paper §6, data structures).
-	PeakLevelPlans int64
-	// Levels is the number of lattice levels visited.
-	Levels int
-	// TimedOut reports that the Deadline was hit and the best plan so far
-	// was returned (the paper's fallback then runs GWMIN; the optimizer
-	// front-end handles that).
+	// TimedOut reports that the deadline cut the search short; the plan
+	// returned is the best found by then, never below GWMIN's.
 	TimedOut bool
+	// Gap is a proven upper bound on the optimal score minus the score
+	// returned: 0 when the search finished, so the plan is optimal.
+	Gap float64
+	// peakHeld is the most candidate entries held along one search path,
+	// the find phase's memory figure.
+	peakHeld int64
 }
 
-// nextLevel implements Algorithm 3: it joins pairs of valid size-s plans
-// that agree on their first s-1 candidates and whose differing candidates
-// are not in conflict (Lemma 6), yielding all valid size-s+1 plans
-// (Lemma 7). parents must be lexicographically sorted; children are
-// returned sorted.
+// SearchPlan finds a maximum-score valid plan on the (reduced) Sharon
+// graph g — a maximum-weight independent set (§6) — and returns it with
+// the conflict-free candidates F collected during reduction appended.
 //
-// limit > 0 bounds the children generated; deadline (non-zero) bounds the
-// wall clock. Either breach stops generation and reports truncated=true,
-// which the plan finder translates into its GWMIN fallback (§6, case 1).
-func nextLevel(g *Graph, parents []foundPlan, limit int, deadline time.Time) (children []foundPlan, truncated bool) {
-	if len(parents) == 0 {
-		return nil, false
-	}
-	s := len(parents[0].verts)
-	for i := 0; i < len(parents); i++ {
-		pi := parents[i].verts
-		if !deadline.IsZero() && i%1024 == 0 && time.Now().After(deadline) {
-			return children, true
-		}
-		for j := i + 1; j < len(parents); j++ {
-			pj := parents[j].verts
-			if !samePrefix(pi, pj, s-1) {
-				// Lexicographic order makes equal-prefix plans
-				// contiguous; once the prefix changes, no later plan
-				// joins with parents[i].
-				break
-			}
-			a, b := pi[s-1], pj[s-1] // a < b by lexicographic order
-			if g.HasEdge(a, b) {
-				continue // invalid branch pruned at its root (Lemma 4)
-			}
-			if limit > 0 && len(children) >= limit {
-				return children, true
-			}
-			verts := make([]int, s+1)
-			copy(verts, pi)
-			verts[s] = b
-			children = append(children, foundPlan{
-				verts: verts,
-				score: parents[i].score + g.Vertices[b].Weight,
-			})
-		}
-	}
-	return children, false
-}
-
-// DefaultMaxLevelPlans bounds how many plans one lattice level may hold
-// before the finder falls back to GWMIN; it also bounds the finder's
-// memory (the paper stores one level at a time, §6).
-const DefaultMaxLevelPlans = 1 << 20
-
-func samePrefix(a, b []int, n int) bool {
-	for k := 0; k < n; k++ {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// FindOptimalPlan implements Algorithm 4: a breadth-first traversal of the
-// valid plan lattice over the (reduced) Sharon graph g, returning the
-// plan with maximal score together with the conflict-free candidates F
-// collected during reduction. Only one lattice level is held at a time.
+// Each connected component is searched alone, depth first: vertices are
+// ranked by weight, the incumbent starts as GWMIN's set (so the §5
+// guarantee holds whenever the search stops), the search branches on the
+// heaviest remaining candidate, and a branch is pruned once its score
+// plus a greedy clique cover bound of its remaining candidates cannot
+// beat the incumbent: candidates that pairwise conflict contribute at
+// most their heaviest member. Memory is one path plus one cover per depth.
 //
-// deadline, when non-zero, bounds the search; on expiry the best valid
-// plan found so far is returned with stats.TimedOut set (§6, extreme
-// case 1).
-func FindOptimalPlan(g *Graph, conflictFree []Vertex, deadline time.Time) (Plan, float64, PlanFinderStats) {
-	var stats PlanFinderStats
-	var opt []int
-	var max float64
-
-	// Level 1: every vertex is a valid plan on its own.
-	level := make([]foundPlan, 0, g.NumVertices())
-	for i := range g.Vertices {
-		level = append(level, foundPlan{verts: []int{i}, score: g.Vertices[i].Weight})
-	}
-	sort.Slice(level, func(a, b int) bool { return lexLess(level[a].verts, level[b].verts) })
-
-	for len(level) > 0 {
-		stats.Levels++
-		stats.PlansConsidered += int64(len(level))
-		if int64(len(level)) > stats.PeakLevelPlans {
-			stats.PeakLevelPlans = int64(len(level))
-		}
-		for _, p := range level {
-			if p.score > max {
-				max = p.score
-				opt = p.verts
-			}
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			stats.TimedOut = true
-			break
-		}
-		var truncated bool
-		level, truncated = nextLevel(g, level, DefaultMaxLevelPlans, deadline)
-		if truncated {
-			// Scan the partial level for a better plan, then fall back.
-			for _, p := range level {
-				if p.score > max {
-					max = p.score
-					opt = p.verts
-				}
-			}
-			stats.TimedOut = true
-			break
-		}
-	}
-
-	plan := g.PlanOf(opt)
-	score := max
+// deadline, when non-zero, bounds the search. On expiry the incumbent is
+// returned with stats.TimedOut set and stats.Gap bounding its distance to
+// the optimum (§6, extreme case 1).
+func SearchPlan(g *Graph, conflictFree []Vertex, deadline time.Time) (Plan, float64, PlanFinderStats) {
+	s := newSearcher(g, deadline)
+	set := s.run(GWMIN(g))
+	plan, score := g.PlanOf(set), g.SetWeight(set)
 	for _, v := range conflictFree {
 		plan = append(plan, v.Candidate)
 		score += v.Weight
 	}
-	return plan, score, stats
+	return plan, score, s.stats
 }
 
-func lexLess(a, b []int) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// searcher holds the graph re-indexed by rank (heaviest vertex first), so
+// the branching order is the bit order and "the candidates after v" is a
+// bit range.
+type searcher struct {
+	order    []int     // rank -> vertex of g
+	rank     []int     // vertex of g -> rank
+	weight   []float64 // by rank
+	adj      []bitset  // by rank
+	words    int       // per bitset
+	deadline time.Time
+	stop     bool
+
+	best    float64
+	bestSet []int // ranks
+	path    []int // ranks
+	levels  []*level
+	stats   PlanFinderStats
+}
+
+// level is one depth's scratch: the candidates, their clique cover, the
+// per-suffix bounds, and the candidate set handed to the child.
+type level struct {
+	members []int     // candidate ranks, ascending: heaviest first
+	clique  []int     // clique of each member
+	common  []uint64  // per clique, `words` words: its members' common conflicts
+	top     []float64 // per clique: heaviest member weight of the suffix scanned
+	bound   []float64 // bound[i]: no plan from members[i:] scores more
+	held    int64     // members held on the path down to this depth
+	child   bitset
+}
+
+func newSearcher(g *Graph, deadline time.Time) *searcher {
+	n := g.NumVertices()
+	s := &searcher{
+		order: make([]int, n), rank: make([]int, n), weight: make([]float64, n), adj: make([]bitset, n),
+		words: (n + 63) >> 6, deadline: deadline,
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+	for i := range s.order {
+		s.order[i] = i
+	}
+	sort.SliceStable(s.order, func(a, b int) bool {
+		return g.Vertices[s.order[a]].Weight > g.Vertices[s.order[b]].Weight
+	})
+	for r, v := range s.order {
+		s.rank[v] = r
+		s.weight[r] = g.Vertices[v].Weight
+	}
+	rows := make(bitset, n*s.words)
+	for r, v := range s.order {
+		s.adj[r] = rows[r*s.words : (r+1)*s.words]
+		for k, w := range g.adj[v] {
+			for ; w != 0; w &= w - 1 {
+				s.adj[r].set(s.rank[k<<6+bits.TrailingZeros64(w)])
+			}
 		}
 	}
-	return len(a) < len(b)
+	return s
+}
+
+// run searches every connected component, starting each from its share
+// of the incumbent set (vertices of g), and returns the chosen vertices
+// of g, ascending.
+func (s *searcher) run(incumbent []int) []int {
+	n := len(s.order)
+	start := newBitset(n)
+	for _, v := range incumbent {
+		start.set(s.rank[v])
+	}
+	left := newBitset(n)
+	for r := range n {
+		left.set(r)
+	}
+	var chosen []int
+	for r := left.next(0); r >= 0; r = left.next(r) {
+		comp := s.component(r, left)
+		s.best, s.bestSet = 0, s.bestSet[:0]
+		for v := comp.next(0); v >= 0; v = comp.next(v + 1) {
+			if start.has(v) {
+				s.best += s.weight[v]
+				s.bestSet = append(s.bestSet, v)
+			}
+		}
+		s.expand(comp, 0, 0)
+		if s.stop {
+			s.stats.TimedOut = true
+			s.stats.Gap += max(0, s.levels[0].bound[0]-s.best)
+		}
+		for _, v := range s.bestSet {
+			chosen = append(chosen, s.order[v])
+		}
+	}
+	sort.Ints(chosen)
+	return chosen
+}
+
+// component removes from left, and returns, the connected component of
+// rank r.
+func (s *searcher) component(r int, left bitset) bitset {
+	comp := newBitset(len(s.order))
+	comp.set(r)
+	left.clear(r)
+	for frontier := []int{r}; len(frontier) > 0; {
+		v := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		for k, w := range s.adj[v] {
+			w &= left[k]
+			left[k] &^= w
+			comp[k] |= w
+			for ; w != 0; w &= w - 1 {
+				frontier = append(frontier, k<<6+bits.TrailingZeros64(w))
+			}
+		}
+	}
+	return comp
+}
+
+// expand is one search node: the plan on s.path scores cur, and p holds
+// the candidates that can still join it (all ranked after the path).
+func (s *searcher) expand(p bitset, cur float64, depth int) {
+	s.stats.PlansConsidered++
+	if s.stats.PlansConsidered&255 == 1 && !s.deadline.IsZero() && !time.Now().Before(s.deadline) {
+		s.stop = true
+	}
+	if cur > s.best {
+		s.best = cur
+		s.bestSet = append(s.bestSet[:0], s.path...)
+	}
+	lv := s.level(depth)
+	lv.members = p.members(lv.members[:0])
+	lv.held = int64(len(lv.members))
+	if depth > 0 {
+		lv.held += s.levels[depth-1].held
+	}
+	s.stats.peakHeld = max(s.stats.peakHeld, lv.held)
+	s.cover(lv)
+	// Branch on members[i] with members[:i] excluded, heaviest first.
+	for i, v := range lv.members {
+		if s.stop || cur+lv.bound[i] <= s.best {
+			return
+		}
+		row, from := s.adj[v], v>>6
+		clear(lv.child[:from])
+		for k := from; k < s.words; k++ {
+			lv.child[k] = p[k] &^ row[k]
+		}
+		lv.child[from] &^= 2<<uint(v&63) - 1 // v and the members before it
+		s.path = append(s.path, v)
+		s.expand(lv.child, cur+s.weight[v], depth+1)
+		s.path = s.path[:len(s.path)-1]
+	}
+}
+
+func (s *searcher) level(depth int) *level {
+	if depth == len(s.levels) {
+		s.levels = append(s.levels, &level{child: newBitset(len(s.order))})
+	}
+	return s.levels[depth]
+}
+
+// cover partitions lv.members into cliques, first fit in rank order, and
+// fills lv.bound. A plan takes at most one member of a clique, so no plan
+// from members[i:] outscores the summed heaviest member of each clique
+// among them.
+func (s *searcher) cover(lv *level) {
+	lv.clique, lv.common = lv.clique[:0], lv.common[:0]
+	cliques := 0
+	for _, v := range lv.members {
+		row, from, bit := s.adj[v], v>>6, uint64(1)<<uint(v&63)
+		c := 0
+		for c < cliques && lv.common[c*s.words+from]&bit == 0 {
+			c++
+		}
+		if c == cliques {
+			lv.common = append(lv.common, row...)
+			cliques++
+		} else {
+			// Only members ranked after v are tested against this
+			// clique again, so the words below v's can go stale.
+			common := lv.common[c*s.words : (c+1)*s.words]
+			for k := from; k < s.words; k++ {
+				common[k] &= row[k]
+			}
+		}
+		lv.clique = append(lv.clique, c)
+	}
+	lv.top = slices.Grow(lv.top[:0], cliques)[:cliques]
+	clear(lv.top)
+	n := len(lv.members)
+	lv.bound = slices.Grow(lv.bound[:0], n+1)[:n+1]
+	lv.bound[n] = 0
+	// Scanning lightest first, a member outweighs its clique's earlier
+	// (lighter) ones and replaces them in the bound.
+	for i := n - 1; i >= 0; i-- {
+		c, w := lv.clique[i], s.weight[lv.members[i]]
+		lv.bound[i] = lv.bound[i+1] + w - lv.top[c]
+		lv.top[c] = w
+	}
 }
 
 // ExhaustivePlanSearch enumerates every subset of vertices, discarding
 // invalid ones, and returns an optimal plan. It is the paper's exhaustive
 // optimizer baseline (§8.3): exponential and only feasible for small
-// workloads, used to validate the plan finder's optimality.
+// workloads, used to validate the plan search's optimality.
 func ExhaustivePlanSearch(g *Graph) (Plan, float64, int64) {
 	n := g.NumVertices()
 	var best []int

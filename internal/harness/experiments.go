@@ -71,7 +71,7 @@ func ratesOf(stream event.Stream, w query.Workload) core.Rates {
 
 // optimalPlan runs the Sharon optimizer (with conflict resolution) and
 // returns its plan. The executor experiments bound the optimizer —
-// expansion options and plan-finder time — because their subject is the
+// expansion options and plan-search time — because their subject is the
 // executor; the optimizer's own cost is Figure 15's subject.
 func optimalPlan(w query.Workload, rates core.Rates) (core.Plan, error) {
 	res, err := core.Optimize(w, rates, core.OptimizerOptions{
@@ -128,8 +128,8 @@ func Table1(cfg Config) (string, error) {
 	fmt.Fprintf(&b, "reduction: %d conflict-ridden pruned, %d conflict-free fast-pathed, %d vertices remain\n",
 		red.PrunedConflictRidden, len(red.ConflictFree), red.Reduced.NumVertices())
 
-	plan, score, stats := core.FindOptimalPlan(red.Reduced, red.ConflictFree, time.Time{})
-	fmt.Fprintf(&b, "optimal plan (Example 10): %s  score=%.0f  (%d valid plans considered)\n",
+	plan, score, stats := core.SearchPlan(red.Reduced, red.ConflictFree, time.Time{})
+	fmt.Fprintf(&b, "optimal plan (Example 10): %s  score=%.0f  (%d search nodes)\n",
 		plan.Format(tr.Reg, tr.Workload), score, stats.PlansConsidered)
 
 	set := core.GWMIN(g)

@@ -22,7 +22,7 @@
 // segments (same window, grouping and predicates, paper §7.2), runs the
 // static optimizer on each — sharable pattern detection (modified
 // CCSpan), the benefit model, the Sharon graph, GWMIN-bound reduction,
-// and the optimal plan finder — and composes the executor from what it
+// and the optimal plan search — and composes the executor from what it
 // observes: one segment runs the shared online engine directly, several
 // run one engine per segment; Options.Dynamic adds runtime
 // re-optimisation (§7.4) or per-burst share-vs-split decisions; and a
