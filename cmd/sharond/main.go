@@ -77,7 +77,6 @@ func main() {
 		emitEmpty   = flag.Bool("emit-empty", false, "also push zero results for windows without matches")
 		maxBatch    = flag.Int64("max-batch-bytes", 8<<20, "ingest request body limit")
 		queue       = flag.Int("queue", 256, "ingest queue bound in batches (full queue = 429)")
-		subBuf      = flag.Int("sub-buffer", 4096, "deprecated (ignored): delivery is cursor-based over the shared broadcast log")
 		fanoutW     = flag.Int("fanout-writers", 0, "broadcast fan-out writer pool size (0 = default 4)")
 		replayBuf   = flag.Int("replay-buffer", 16384, "retained results for /subscribe?after= resume")
 		dataDir     = flag.String("data-dir", "", "enable durability: WAL + checkpoints under this directory")
@@ -118,6 +117,10 @@ func main() {
 	if len(queries) == 0 {
 		queries = server.DefaultQueries
 	}
+	var logger *slog.Logger // nil discards operational logs
+	if *verbose {
+		logger = buildLogger(*logFormat)
+	}
 
 	switch *role {
 	case "single", "worker":
@@ -136,13 +139,16 @@ func main() {
 			standbySpecs[i] = cluster.WorkerSpec{URL: strings.TrimSuffix(url, "/"), DataDir: dir}
 		}
 		cfg := cluster.Config{
-			Workers:           specs,
-			Queries:           queries,
-			VNodes:            *vnodes,
-			MaxBatchBytes:     *maxBatch,
-			IngestQueue:       *queue,
-			ReplayBuffer:      *replayBuf,
-			FanoutWriters:     *fanoutW,
+			Workers: specs,
+			Queries: queries,
+			VNodes:  *vnodes,
+			EdgeConfig: server.EdgeConfig{
+				MaxBatchBytes: *maxBatch,
+				IngestQueue:   *queue,
+				ReplayBuffer:  *replayBuf,
+				FanoutWriters: *fanoutW,
+				Logger:        logger,
+			},
 			HealthEvery:       *healthEvery,
 			BarrierTimeout:    *barrierTo,
 			Standby:           standbySpecs,
@@ -150,10 +156,6 @@ func main() {
 			OccupancyLow:      *occLow,
 			AutoScaleEvery:    *scaleEvery,
 			AutoScaleCooldown: *scaleCool,
-		}
-		if *verbose {
-			cfg.Logf = log.Printf
-			cfg.Logger = buildLogger(*logFormat)
 		}
 		rt, err := cluster.New(cfg)
 		if err != nil {
@@ -178,25 +180,21 @@ func main() {
 		log.Fatalf("sharond: %v", err)
 	}
 	cfg := server.Config{
-		Queries:          queries,
-		Parallelism:      *parallelism,
-		Dynamic:          *dynamic,
-		Adaptive:         *adaptive,
-		EmitEmpty:        *emitEmpty,
-		MaxBatchBytes:    *maxBatch,
-		IngestQueue:      *queue,
-		SubscriberBuffer: *subBuf,
-		FanoutWriters:    *fanoutW,
-		ReplayBuffer:     *replayBuf,
-		DataDir:          *dataDir,
-		CheckpointEvery:  *ckptEvery,
-		Fsync:            fsync,
-		FsyncEvery:       *fsyncEvery,
-		WALSegmentBytes:  *walSegBytes,
-	}
-	if *verbose {
-		cfg.Logf = log.Printf
-		cfg.Logger = buildLogger(*logFormat)
+		Queries:         queries,
+		Parallelism:     *parallelism,
+		Dynamic:         *dynamic,
+		Adaptive:        *adaptive,
+		EmitEmpty:       *emitEmpty,
+		MaxBatchBytes:   *maxBatch,
+		IngestQueue:     *queue,
+		FanoutWriters:   *fanoutW,
+		ReplayBuffer:    *replayBuf,
+		Logger:          logger,
+		DataDir:         *dataDir,
+		CheckpointEvery: *ckptEvery,
+		Fsync:           fsync,
+		FsyncEvery:      *fsyncEvery,
+		WALSegmentBytes: *walSegBytes,
 	}
 	s, err := server.New(cfg)
 	if err != nil {

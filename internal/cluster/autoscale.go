@@ -30,7 +30,7 @@ func (r *Router) autoscaleLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-r.pumpDone:
+		case <-r.edge.Done():
 			return
 		case <-t.C:
 		}
@@ -39,7 +39,7 @@ func (r *Router) autoscaleLoop() {
 }
 
 func (r *Router) autoscaleTick() {
-	if r.failed() != "" {
+	if r.edge.Failed() != "" {
 		return
 	}
 	if time.Since(time.Unix(0, r.lastAuto.Load())) < r.cfg.AutoScaleCooldown {
@@ -75,7 +75,7 @@ func (r *Router) autoscaleTick() {
 	switch {
 	case spec != nil:
 		r.lastAuto.Store(time.Now().UnixNano())
-		r.log.Info("autoscale: occupancy above band, joining standby worker",
+		r.edge.Log.Info("autoscale: occupancy above band, joining standby worker",
 			"max_groups", maxG, "band_high", r.cfg.OccupancyHigh, "worker", spec.URL)
 		if r.runCtl(&routerCtl{join: spec}) {
 			r.autoOut.Add(1)
@@ -87,7 +87,7 @@ func (r *Router) autoscaleTick() {
 		}
 	case r.cfg.OccupancyLow > 0 && healthyAll && members > 1 && maxG >= 0 && maxG < r.cfg.OccupancyLow:
 		r.lastAuto.Store(time.Now().UnixNano())
-		r.log.Info("autoscale: occupancy below band, draining least-occupied worker",
+		r.edge.Log.Info("autoscale: occupancy below band, draining least-occupied worker",
 			"max_groups", maxG, "band_low", r.cfg.OccupancyLow, "worker", minID)
 		if r.runCtl(&routerCtl{leave: minID}) {
 			r.autoIn.Add(1)
@@ -103,15 +103,13 @@ func (r *Router) autoscaleTick() {
 // is busy, and the band will still be crossed at the next tick.
 func (r *Router) runCtl(ctl *routerCtl) bool {
 	ctl.reply = make(chan ctlResult, 1)
-	select {
-	case r.ingest <- routerMsg{ctl: ctl}:
-	default:
+	if !r.edge.Offer(routerMsg{Ctl: ctl}) {
 		return false
 	}
 	select {
 	case res := <-ctl.reply:
 		return res.status == http.StatusOK
-	case <-r.pumpDone:
+	case <-r.edge.Done():
 		return false
 	case <-time.After(2 * time.Minute):
 		return false

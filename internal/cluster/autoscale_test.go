@@ -53,13 +53,12 @@ func TestAutoScaleBand(t *testing.T) {
 		Queries:           server.DefaultQueries,
 		HealthEvery:       50 * time.Millisecond,
 		BarrierTimeout:    15 * time.Second,
-		HeartbeatEvery:    time.Hour,
+		EdgeConfig:        server.EdgeConfig{HeartbeatEvery: time.Hour, Logger: testLogger(t)},
 		Standby:           []WorkerSpec{{URL: standby.hs.URL, DataDir: standby.dir}},
 		OccupancyHigh:     4,
 		OccupancyLow:      1,
 		AutoScaleEvery:    50 * time.Millisecond,
 		AutoScaleCooldown: 200 * time.Millisecond,
-		Logf:              t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

@@ -235,8 +235,7 @@ func startRouter(t *testing.T, nodes []*testNode) (*Router, *httptest.Server) {
 		Queries:        server.DefaultQueries,
 		HealthEvery:    100 * time.Millisecond,
 		BarrierTimeout: 15 * time.Second,
-		HeartbeatEvery: time.Hour,
-		Logf:           t.Logf,
+		EdgeConfig:     server.EdgeConfig{HeartbeatEvery: time.Hour, Logger: testLogger(t)},
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

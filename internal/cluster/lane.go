@@ -155,11 +155,11 @@ func (r *Router) runLane(ctx context.Context, ln *lane, resp *http.Response) {
 		var err error
 		resp, err = r.subscribeLane(ctx, ln, true)
 		if err != nil {
-			r.log.Warn("lane resume failed", "lane", ln.id, "err", err)
+			r.edge.Log.Warn("lane resume failed", "lane", ln.id, "err", err)
 			r.suspectDead(ln.id)
 			return
 		}
-		r.log.Info("lane resumed", "lane", ln.id, "seq", ln.lastSeq)
+		r.edge.Log.Info("lane resumed", "lane", ln.id, "seq", ln.lastSeq)
 	}
 }
 
@@ -362,14 +362,14 @@ func (r *Router) advanceMergeLocked(nowNano int64) {
 				r.fail("marshal merged result: %v", err)
 				return
 			}
-			r.ring.Append(r.seq, payload)
-			r.hub.Publish(bucket[i].Query, bucket[i].Group, r.seq, payload, nowNano)
+			r.edge.Ring.Append(r.seq, payload)
+			r.edge.Hub.Publish(bucket[i].Query, bucket[i].Group, r.seq, payload, nowNano)
 			r.seq++
-			r.emitted.Add(1)
+			r.edge.Emitted.Add(1)
 		}
 	}
 	r.mergedWM = frontier
-	r.hub.PublishCtl("wm", fmt.Appendf(nil, `{"watermark":%d}`, frontier))
+	r.edge.Hub.PublishCtl("wm", fmt.Appendf(nil, `{"watermark":%d}`, frontier))
 }
 
 func cmp64(a, b int64) int {

@@ -4,61 +4,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"github.com/sharon-project/sharon/internal/metrics"
 	"github.com/sharon-project/sharon/internal/obs"
 )
-
-// routerStages aggregates the router's own per-stage pipeline latency,
-// the cluster analogue of the server's serverStages. Stage boundaries
-// (all recorded in nanoseconds):
-//
-//	decode_*  request read + parse, per wire path (ndjson | binary)
-//	queue     ingest-queue admit → pump dequeue
-//	forward   ring split forwarded → every worker acked (the step's
-//	          slowest worker round trip, including retries)
-//	fanout    merged result published → subscriber socket write
-//
-// Per-worker latencies (forward round trip, merge-hold, punctuation
-// lag) live on each lane, labelled by worker in the exposition.
-type routerStages struct {
-	decodeNDJSON obs.Histogram
-	decodeBinary obs.Histogram
-	queue        obs.Histogram
-	forward      obs.Histogram
-	fanout       obs.Histogram
-}
-
-// summaries digests the stage histograms for the JSON /metrics form
-// (milliseconds).
-func (st *routerStages) summaries() map[string]obs.Summary {
-	return map[string]obs.Summary{
-		"decode_ndjson": st.decodeNDJSON.Snapshot().Summary(1e-6),
-		"decode_binary": st.decodeBinary.Snapshot().Summary(1e-6),
-		"queue":         st.queue.Snapshot().Summary(1e-6),
-		"forward":       st.forward.Snapshot().Summary(1e-6),
-		"fanout":        st.fanout.Snapshot().Summary(1e-6),
-	}
-}
-
-// promStages lists the latency stages in stable exposition order.
-func (st *routerStages) promStages() []struct {
-	name string
-	h    *obs.Histogram
-} {
-	return []struct {
-		name string
-		h    *obs.Histogram
-	}{
-		{"decode_ndjson", &st.decodeNDJSON},
-		{"decode_binary", &st.decodeBinary},
-		{"queue", &st.queue},
-		{"forward", &st.forward},
-		{"fanout", &st.fanout},
-	}
-}
 
 // laneSummary digests one lane histogram into milliseconds, nil until
 // the first sample so idle lanes stay out of the JSON.
@@ -110,33 +60,12 @@ func (r *Router) scrapeWorkers(ids []string) map[string]*metrics.ServerStats {
 	return out
 }
 
-// writeProm renders the RouterStats snapshot in the Prometheus text
-// exposition format v0.0.4: the router's own counters and stage
-// histograms, the per-worker lane digests, and a cluster-wide view
-// scraped live from each worker's /metrics.
-func (r *Router) writeProm(w http.ResponseWriter, st metrics.RouterStats) {
-	pw := &obs.PromWriter{}
-	pw.Gauge("sharon_router_uptime_seconds", "Seconds since the router started.", nil, st.UptimeSec)
-	pw.Gauge("sharon_router_queries", "Queries the cluster serves.", nil, float64(st.Queries))
-	pw.Gauge("sharon_router_watermark", "Router ingest stream position in ticks (-1 before the first).", nil, float64(st.Watermark))
+// writeProm renders the router's own families after the edge's (text
+// exposition v0.0.4): merge and rebalance counters, the per-worker lane
+// digests, and a cluster-wide view scraped live from each worker's
+// /metrics.
+func (r *Router) writeProm(pw *obs.PromWriter, st metrics.RouterStats) {
 	pw.Gauge("sharon_router_merged_watermark", "Merge frontier: results at or below it have been emitted.", nil, float64(st.MergedWatermark))
-	pw.Counter("sharon_router_events_ingested_total", "Events accepted and forwarded.", nil, float64(st.EventsIngested))
-	pw.Counter("sharon_router_events_dropped_total", "Events discarded at the router, by reason.", []string{"reason", "late"}, float64(st.EventsDroppedLate))
-	pw.Counter("sharon_router_events_dropped_total", "Events discarded at the router, by reason.", []string{"reason", "unknown_type"}, float64(st.EventsDroppedUnknownType))
-	pw.Counter("sharon_router_batches_total", "Accepted ingest batches.", nil, float64(st.Batches))
-	pw.Counter("sharon_router_rejected_total", "Refused ingest requests, by reason.", []string{"reason", "backpressure"}, float64(st.RejectedBackpressure))
-	pw.Counter("sharon_router_rejected_total", "Refused ingest requests, by reason.", []string{"reason", "oversize"}, float64(st.RejectedOversize))
-	pw.Gauge("sharon_router_ingest_queue_depth", "Parsed batches queued ahead of the pump.", nil, float64(st.IngestQueueDepth))
-	pw.Gauge("sharon_router_ingest_queue_cap", "Ingest queue capacity.", nil, float64(st.IngestQueueCap))
-	pw.Counter("sharon_router_results_emitted_total", "Merged results pushed downstream.", nil, float64(st.ResultsEmitted))
-	pw.Counter("sharon_router_results_delivered_total", "Result frames fanned out to subscribers.", nil, float64(st.ResultsDelivered))
-	pw.Gauge("sharon_router_subscribers", "Live downstream subscriptions.", nil, float64(st.Subscribers))
-	pw.Counter("sharon_router_slow_consumer_disconnects_total", "Subscribers dropped on delivery-buffer overflow.", nil, float64(st.SlowConsumerDisconnects))
-	pw.Gauge("sharon_fanout_subscribers", "Live subscriptions on the broadcast fan-out tier.", nil, float64(st.Subscribers))
-	pw.Counter("sharon_fanout_frames_encoded_total", "Shared frames rendered (once per merged result or ctl event).", nil, float64(st.FanoutFramesEncoded))
-	pw.Counter("sharon_fanout_frames_delivered_total", "Frames written into subscriber streams.", nil, float64(st.FanoutFramesDelivered))
-	pw.Counter("sharon_fanout_dropped_total", "Subscribers ended with an explicit dropped frame, by reason.", []string{"reason", "slow-consumer"}, float64(st.FanoutDroppedSlow))
-	pw.Counter("sharon_fanout_dropped_total", "Subscribers ended with an explicit dropped frame, by reason.", []string{"reason", "filtered-resume"}, float64(st.FanoutDroppedFiltered))
 	pw.Counter("sharon_router_autoscale_total", "Occupancy-triggered membership changes, by direction.", []string{"direction", "out"}, float64(st.AutoScaleOut))
 	pw.Counter("sharon_router_autoscale_total", "Occupancy-triggered membership changes, by direction.", []string{"direction", "in"}, float64(st.AutoScaleIn))
 	pw.Counter("sharon_router_autoscale_failed_total", "Autoscale attempts that aborted.", nil, float64(st.AutoScaleFailed))
@@ -144,18 +73,12 @@ func (r *Router) writeProm(w http.ResponseWriter, st metrics.RouterStats) {
 	pw.Counter("sharon_router_rebalances_total", "Completed hash-range hand-offs.", nil, float64(st.Rebalances))
 	pw.Counter("sharon_router_rebalances_failed_total", "Aborted rebalances (cluster error state).", nil, float64(st.RebalancesFailed))
 	pw.Gauge("sharon_router_last_rebalance_seconds", "Duration of the most recent rebalance.", nil, st.LastRebalanceMs/1e3)
-	pw.Gauge("sharon_router_draining", "1 while the router is shutting down.", nil, boolGauge(st.Draining))
-
-	const stageHelp = "Router per-stage pipeline latency (see README Observability for stage boundaries)."
-	for _, sg := range r.stages.promStages() {
-		pw.Histogram("sharon_router_stage_latency_seconds", stageHelp, []string{"stage", sg.name}, sg.h.Snapshot(), 1e-9)
-	}
 
 	// Per-worker lane view: occupancy counters plus the lane latency
 	// digests. st.Workers is sorted by id, so each family's samples come
 	// out in a stable order.
 	for _, ws := range st.Workers {
-		pw.Gauge("sharon_router_worker_healthy", "Last health-probe outcome per worker.", []string{"worker", ws.ID}, boolGauge(ws.Healthy))
+		pw.Gauge("sharon_router_worker_healthy", "Last health-probe outcome per worker.", []string{"worker", ws.ID}, obs.Bool(ws.Healthy))
 	}
 	for _, ws := range st.Workers {
 		pw.Gauge("sharon_router_worker_frontier", "Per-worker punctuated merge frontier in ticks.", []string{"worker", ws.ID}, float64(ws.Frontier))
@@ -215,7 +138,7 @@ func (r *Router) writeProm(w http.ResponseWriter, st metrics.RouterStats) {
 	pw.Gauge("sharon_cluster_workers", "Cluster membership size.", nil, float64(len(st.Workers)))
 	pw.Gauge("sharon_cluster_workers_healthy", "Workers passing health probes.", nil, float64(healthy))
 	for _, id := range ids {
-		pw.Gauge("sharon_cluster_worker_up", "1 when the worker's /metrics answered this scrape.", []string{"worker", id}, boolGauge(scraped[id] != nil))
+		pw.Gauge("sharon_cluster_worker_up", "1 when the worker's /metrics answered this scrape.", []string{"worker", id}, obs.Bool(scraped[id] != nil))
 	}
 	for _, id := range ids {
 		if s := scraped[id]; s != nil {
@@ -249,21 +172,4 @@ func (r *Router) writeProm(w http.ResponseWriter, st metrics.RouterStats) {
 	}
 	pw.Counter("sharon_cluster_events_ingested_total", "Events applied across all reachable workers.", nil, float64(clusterIngested))
 	pw.Gauge("sharon_cluster_groups_live", "Live groups across all reachable workers.", nil, float64(clusterGroups))
-
-	w.Header().Set("Content-Type", obs.PromContentType)
-	_, _ = w.Write(pw.Bytes())
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// handleTraces dumps the most recent pipeline spans (?n= bounds the
-// count, default all retained) as JSON.
-func (r *Router) handleTraces(w http.ResponseWriter, req *http.Request) {
-	n, _ := strconv.Atoi(req.URL.Query().Get("n"))
-	writeJSON(w, http.StatusOK, map[string]any{"spans": r.tracer.Spans(n)})
 }

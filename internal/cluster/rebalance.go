@@ -47,7 +47,7 @@ import (
 // rebalanceDead recovers a dead worker's range onto the survivors.
 func (r *Router) rebalanceDead(deadID string) {
 	started := time.Now()
-	r.log.Warn("worker presumed dead; rebalancing", "worker", deadID)
+	r.edge.Log.Warn("worker presumed dead; rebalancing", "worker", deadID)
 
 	r.mu.Lock()
 	ln := r.lanes[deadID]
@@ -119,7 +119,7 @@ func (r *Router) rebalanceDead(deadID string) {
 				r.orphan[wr.End] = append(r.orphan[wr.End], wr)
 			}
 			r.mu.Unlock()
-			r.log.Info("recovered results from checkpoint emission ring", "worker", deadID, "results", len(inject), "from", wp, "to", ck.Watermark)
+			r.edge.Log.Info("recovered results from checkpoint emission ring", "worker", deadID, "results", len(inject), "from", wp, "to", ck.Watermark)
 		}
 	}
 
@@ -167,7 +167,7 @@ func (r *Router) rebalanceDead(deadID string) {
 	r.mu.Unlock()
 	r.rebalances.Add(1)
 	r.lastRebalance.Store(time.Since(started).Nanoseconds())
-	r.log.Info("rebalanced dead worker", "worker", deadID, "survivors", newRing.Size(), "took", time.Since(started).Round(time.Millisecond), "watermark", target)
+	r.edge.Log.Info("rebalanced dead worker", "worker", deadID, "survivors", newRing.Size(), "took", time.Since(started).Round(time.Millisecond), "watermark", target)
 }
 
 // barrier waits until every listed lane has punctuated wm — its queue
@@ -206,7 +206,7 @@ func (r *Router) barrier(ids []string, wm int64) error {
 // checkpoint interval) is refused — the nested hand-off state cannot be
 // flattened safely — and the operator intervenes.
 func (r *Router) loadDeadState(dir string) (*persist.Checkpoint, []persist.BatchRecord, error) {
-	ck, err := persist.LoadLatestCheckpoint(dir, r.cfg.Logf)
+	ck, err := persist.LoadLatestCheckpoint(dir, r.edge.Log)
 	if err != nil {
 		return nil, nil, fmt.Errorf("load checkpoint: %w", err)
 	}
@@ -222,9 +222,12 @@ func (r *Router) loadDeadState(dir string) (*persist.Checkpoint, []persist.Batch
 			}
 		}
 	}
-	wal, err := persist.OpenWAL(dir, persist.WALOptions{Logf: r.cfg.Logf})
+	wal, err := persist.OpenWAL(dir, persist.WALOptions{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("open wal: %w", err)
+	}
+	if n := wal.Stats().TornBytes; n > 0 {
+		r.edge.Log.Warn("dead worker wal torn tail truncated", "dir", dir, "bytes", n)
 	}
 	defer wal.Close()
 	var tail []persist.BatchRecord
@@ -378,7 +381,7 @@ func (r *Router) applyCtl(ctl *routerCtl) {
 		if healthy, _ := r.probe(ctl.deadcheck); healthy {
 			return // transient; the lane reader resumes on its own
 		}
-		if r.failed() == "" {
+		if r.edge.Failed() == "" {
 			r.rebalanceDead(ctl.deadcheck)
 		}
 	case ctl.join != nil:
@@ -468,7 +471,7 @@ func (r *Router) join(spec WorkerSpec) (int, any) {
 	r.mu.Unlock()
 	r.rebalances.Add(1)
 	r.lastRebalance.Store(time.Since(started).Nanoseconds())
-	r.log.Info("worker joined", "worker", id, "groups", len(merged.Groups), "watermark", target, "took", time.Since(started).Round(time.Millisecond))
+	r.edge.Log.Info("worker joined", "worker", id, "groups", len(merged.Groups), "watermark", target, "took", time.Since(started).Round(time.Millisecond))
 	return http.StatusOK, map[string]any{
 		"joined":    id,
 		"groups":    len(merged.Groups),
@@ -536,7 +539,7 @@ func (r *Router) leave(id string) (int, any) {
 	r.mu.Unlock()
 	r.rebalances.Add(1)
 	r.lastRebalance.Store(time.Since(started).Nanoseconds())
-	r.log.Info("worker left", "worker", id, "groups", moved, "survivors", newRing.Size(), "took", time.Since(started).Round(time.Millisecond))
+	r.edge.Log.Info("worker left", "worker", id, "groups", moved, "survivors", newRing.Size(), "took", time.Since(started).Round(time.Millisecond))
 	return http.StatusOK, map[string]any{
 		"left":    id,
 		"groups":  moved,

@@ -31,10 +31,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -73,17 +71,8 @@ type Config struct {
 	// (default chash.DefaultVNodes).
 	VNodes int
 
-	// MaxBatchBytes / IngestQueue / SubscriberBuffer / ReplayBuffer /
-	// HeartbeatEvery / WriteTimeout / FanoutWriters mirror server.Config
-	// (SubscriberBuffer is deprecated and ignored — delivery is
-	// cursor-based over the shared broadcast log).
-	MaxBatchBytes    int64
-	IngestQueue      int
-	SubscriberBuffer int
-	ReplayBuffer     int
-	HeartbeatEvery   time.Duration
-	WriteTimeout     time.Duration
-	FanoutWriters    int
+	// EdgeConfig holds the request edge's settings, shared with sharond.
+	server.EdgeConfig
 
 	// Standby names pre-provisioned fresh workers (running, empty
 	// data-dir) the autoscaler may join into the ring when load calls
@@ -113,15 +102,6 @@ type Config struct {
 	// BarrierTimeout bounds the rebalance barrier wait for survivors to
 	// drain to the current watermark (default 30s).
 	BarrierTimeout time.Duration
-	// Logf receives operational log lines; nil discards them.
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives structured operational logs and
-	// takes precedence over Logf (which remains as a plain-text seam for
-	// tests and embedders). Nil bridges Logf into a structured handler.
-	Logger *slog.Logger
-	// TraceSpans bounds the in-memory span ring served at /debug/traces
-	// (default 1024).
-	TraceSpans int
 }
 
 func (c *Config) fill() {
@@ -130,27 +110,6 @@ func (c *Config) fill() {
 	}
 	if c.VNodes <= 0 {
 		c.VNodes = chash.DefaultVNodes
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 8 << 20
-	}
-	if c.IngestQueue <= 0 {
-		c.IngestQueue = 256
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 4096
-	}
-	if c.ReplayBuffer <= 0 {
-		c.ReplayBuffer = 16384
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 15 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.FanoutWriters <= 0 {
-		c.FanoutWriters = 4
 	}
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = 2 * time.Second
@@ -167,29 +126,13 @@ func (c *Config) fill() {
 	if c.BarrierTimeout <= 0 {
 		c.BarrierTimeout = 30 * time.Second
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	if c.Logger == nil {
-		c.Logger = obs.NewLogfLogger(c.Logf)
-	}
-	if c.TraceSpans <= 0 {
-		c.TraceSpans = 1024
-	}
 }
 
-// routerMsg is one unit of router pump work. recycle, when non-nil, is
-// the pooled batch backing batch.Events; the pump returns it after the
-// step (safe: retainDelta copies every worker's slice into fresh
-// backing arrays before forwardAll sends anything). admitNano stamps
-// the moment the message entered the queue, feeding the queue-stage
-// histogram and the batch trace span.
-type routerMsg struct {
-	batch     server.Batch
-	ctl       *routerCtl
-	recycle   *server.Batch
-	admitNano int64
-}
+// routerMsg is one unit of router pump work. Recycling the batch after
+// the step is safe: retainDelta copies every worker's slice into fresh
+// backing arrays before forwardAll sends anything. AdmitNano also
+// starts the batch trace span.
+type routerMsg = server.PumpMsg[routerCtl]
 
 // routerCtl is a membership change or a death check, serialized through
 // the pump like the data plane.
@@ -207,15 +150,15 @@ type ctlResult struct {
 
 // Router is a running cluster router: one pump goroutine owning the
 // forwarding plane and the membership, per-worker SSE reader goroutines
-// feeding the merge, and a hub fanning the merged stream out.
+// feeding the merge, and the shared request edge whose hub fans the
+// merged stream out.
 type Router struct {
 	cfg      Config
+	edge     *server.Edge[routerCtl]
 	reg      *sharon.Registry
 	queries  map[int]*sharon.Query
 	workload sharon.Workload
 	plan     sharon.Plan
-	lookup   map[string]sharon.Type
-	typeName []string
 	// binPrefix is the binary wire header + type-table frame every
 	// forward body starts with. The table lists the registry's names in
 	// order, so an event's local id is numerically its sharon.Type and
@@ -226,26 +169,21 @@ type Router struct {
 	fwdBufs  sync.Pool
 	grouped  bool
 	maxAdv   int64
-	hub      *server.Hub
-	ring     *server.ReplayRing
-	mux      *http.ServeMux
 	client   *http.Client
 	probeCli *http.Client
-	start    time.Time
-	log      *slog.Logger
-	tracer   *obs.Tracer
-	stages   routerStages
 
-	ingest   chan routerMsg
-	gate     sync.RWMutex
-	draining bool
-	drainReq chan struct{}
-	pumpDone chan struct{}
+	// The router's own latency stages, in nanoseconds; the edge records
+	// decode_ndjson, decode_binary and fanout (see README
+	// "Observability"):
+	//
+	//	queue    ingest-queue admit → pump dequeue
+	//	forward  ring split forwarded → every worker acked (the step's
+	//	         slowest worker round trip, including retries)
+	queueNs, forwardNs *obs.Histogram
 
 	// wmState is the router's stream position; pump-owned, mirrored in
-	// the wm atomic for handlers.
+	// the edge's Watermark for handlers.
 	wmState int64
-	wm      atomic.Int64
 
 	// mu guards the merge state: membership ring, lanes, buffered
 	// results, the frontier, and the output sequence.
@@ -269,17 +207,9 @@ type Router struct {
 	autoIn        atomic.Int64
 	autoScaleFail atomic.Int64
 
-	ingested       atomic.Int64
-	droppedLate    atomic.Int64
-	droppedUnknown atomic.Int64
-	batches        atomic.Int64
-	rej429         atomic.Int64
-	rej413         atomic.Int64
-	emitted        atomic.Int64
-	rebalances     atomic.Int64
-	rebalanceFail  atomic.Int64
-	lastRebalance  atomic.Int64 // nanoseconds
-	failure        atomic.Value // string: fatal cluster condition
+	rebalances    atomic.Int64
+	rebalanceFail atomic.Int64
+	lastRebalance atomic.Int64 // nanoseconds
 }
 
 // New validates the workload and the workers, subscribes to every
@@ -293,29 +223,28 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:      cfg,
 		reg:      sharon.NewRegistry(),
-		ring:     server.NewReplayRing(cfg.ReplayBuffer),
 		client:   &http.Client{},
 		probeCli: &http.Client{Timeout: 2 * time.Second},
-		start:    time.Now(),
-		ingest:   make(chan routerMsg, cfg.IngestQueue),
-		drainReq: make(chan struct{}),
-		pumpDone: make(chan struct{}),
 		wmState:  -1,
 		lanes:    make(map[string]*lane),
 		mergedWM: -1,
 		orphan:   make(map[int64][]server.WireResult),
 	}
-	r.log = cfg.Logger
-	r.tracer = obs.NewTracer(cfg.TraceSpans)
-	r.hub = server.NewHub(server.HubOptions{
-		Writers:        cfg.FanoutWriters,
-		Retain:         cfg.ReplayBuffer,
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		WriteTimeout:   cfg.WriteTimeout,
-		FanoutNs:       &r.stages.fanout,
+	r.edge = server.NewEdge[routerCtl](cfg.EdgeConfig, server.EdgeTier{
+		Prefix: "sharon_router_",
+		Stages: []string{"decode_ndjson", "decode_binary", "queue", "forward", "fanout"},
+		QueryKnown: func(id int) bool {
+			_, ok := r.queries[id]
+			return ok
+		},
+		StreamWatermark: func() int64 {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return r.mergedWM
+		},
 	})
+	r.queueNs, r.forwardNs = r.edge.Stage("queue"), r.edge.Stage("forward")
 	r.standby = append([]WorkerSpec(nil), cfg.Standby...)
-	r.wm.Store(-1)
 
 	// Compile the workload exactly like a worker does: same queries,
 	// same rates, same (deterministic) optimizer — the plan is part of
@@ -356,13 +285,11 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: optimize: %w", err)
 	}
 	r.plan = plan
-	r.lookup = make(map[string]sharon.Type)
-	r.typeName = make([]string, r.reg.Count()+1)
+	lookup := make(map[string]sharon.Type)
 	for _, name := range r.reg.Names() {
-		t := r.reg.Lookup(name)
-		r.lookup[name] = t
-		r.typeName[t] = name
+		lookup[name] = r.reg.Lookup(name)
 	}
+	r.edge.SetTypes(lookup)
 	r.binPrefix = server.AppendWireTypeTable(server.AppendWireHeader(nil), r.reg.Names())
 	r.fwdBufs.New = func() any { return new([]byte) }
 	var m int64
@@ -403,7 +330,7 @@ func New(cfg Config) (*Router, error) {
 		r.lanes[ln.id] = ln
 	}
 	r.routes()
-	go r.pump()
+	r.edge.Start(r.pump)
 	go r.healthLoop()
 	go r.autoscaleLoop()
 	return r, nil
@@ -439,37 +366,30 @@ func (r *Router) checkWorkerWorkload(url string) error {
 }
 
 // fail records a fatal cluster condition; /healthz turns red and the
-// pump refuses further work (operators must intervene — the router
-// never guesses once the merged stream's completeness is in doubt).
+// edge and pump refuse further work (operators must intervene — the
+// router never guesses once the merged stream's completeness is in
+// doubt).
 func (r *Router) fail(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	//sharon:allow lockio (some callers hold r.mu; the handler ultimately writes to a log sink, and a fatal-path log line is worth the stall risk)
-	r.log.Error("cluster FAILED", "err", msg)
-	r.failure.CompareAndSwap(nil, msg)
-}
-
-func (r *Router) failed() string {
-	if v := r.failure.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
+	r.edge.Log.Error("cluster FAILED", "err", msg)
+	r.edge.Fail(msg)
 }
 
 // --- pump ---
 
 func (r *Router) pump() {
-	defer close(r.pumpDone)
 	for {
 		select {
-		case msg := <-r.ingest:
+		case msg := <-r.edge.Ingest():
 			r.step(msg)
-			server.PutBatch(msg.recycle)
-		case <-r.drainReq:
+			server.PutBatch(msg.Recycle)
+		case <-r.edge.DrainRequested():
 			for {
 				select {
-				case msg := <-r.ingest:
+				case msg := <-r.edge.Ingest():
 					r.step(msg)
-					server.PutBatch(msg.recycle)
+					server.PutBatch(msg.Recycle)
 				default:
 					r.finish()
 					return
@@ -485,21 +405,21 @@ func (r *Router) pump() {
 //sharon:pump
 func (r *Router) step(msg routerMsg) {
 	stepStart := time.Now()
-	if msg.admitNano > 0 {
-		r.stages.queue.Record(stepStart.UnixNano() - msg.admitNano)
+	if msg.AdmitNano > 0 {
+		r.queueNs.Record(stepStart.UnixNano() - msg.AdmitNano)
 	}
-	if msg.ctl != nil {
-		r.applyCtl(msg.ctl)
+	if msg.Ctl != nil {
+		r.applyCtl(msg.Ctl)
 		return
 	}
-	if r.failed() != "" {
+	if r.edge.Failed() != "" {
 		return // accepted before failure; nowhere safe to route now
 	}
-	b := msg.batch
+	b := msg.Batch
 	events := b.Events
 	for len(events) > 0 && events[0].Time <= r.wmState {
 		events = events[1:]
-		r.droppedLate.Add(1)
+		r.edge.DroppedLate.Add(1)
 	}
 	base := r.wmState
 	if len(events) > 0 {
@@ -517,10 +437,10 @@ func (r *Router) step(msg routerMsg) {
 		batchWM = wm
 	}
 	r.wmState = batchWM
-	r.wm.Store(batchWM)
+	r.edge.Watermark.Store(batchWM)
 	if len(events) > 0 {
-		r.ingested.Add(int64(len(events)))
-		r.batches.Add(1)
+		r.edge.Ingested.Add(int64(len(events)))
+		r.edge.Batches.Add(1)
 	}
 
 	members, sub := r.retainDelta(events, batchWM)
@@ -530,16 +450,16 @@ func (r *Router) step(msg routerMsg) {
 		// One forward-stage sample and one batch span per event-carrying
 		// step, so the stage count equals the batches counter (a CI
 		// consistency check); watermark-only steps skip both.
-		r.stages.forward.Record(time.Since(fwdStart).Nanoseconds())
-		start := msg.admitNano
+		r.forwardNs.Record(time.Since(fwdStart).Nanoseconds())
+		start := msg.AdmitNano
 		if start <= 0 {
 			start = stepStart.UnixNano()
 		}
-		r.tracer.Record(obs.Span{
+		r.edge.Tracer.Record(obs.Span{
 			Kind:      "batch",
 			Start:     start,
 			DurNs:     time.Now().UnixNano() - start,
-			Batch:     r.batches.Load(),
+			Batch:     r.edge.Batches.Load(),
 			Events:    int64(len(events)),
 			Watermark: batchWM,
 		})
@@ -598,13 +518,13 @@ func (r *Router) forwardAll(members []string, sub map[string][]sharon.Event, bat
 	for range members {
 		o := <-results
 		if o.err != nil {
-			r.log.Error("forward failed", "worker", o.id, "err", o.err)
+			r.edge.Log.Error("forward failed", "worker", o.id, "err", o.err)
 			dead = append(dead, o.id)
 		}
 	}
 	sort.Strings(dead)
 	for _, id := range dead {
-		if r.failed() != "" {
+		if r.edge.Failed() != "" {
 			return
 		}
 		r.rebalanceDead(id)
@@ -687,7 +607,7 @@ func (r *Router) clampWatermarkFrom(base, wm int64) int64 {
 		base = 0
 	}
 	if limit := base + r.maxAdv; wm > limit {
-		r.log.Warn("watermark clamped", "watermark", wm, "limit", limit)
+		r.edge.Log.Warn("watermark clamped", "watermark", wm, "limit", limit)
 		return limit
 	}
 	return wm
@@ -708,26 +628,12 @@ func (r *Router) finish() {
 		ln.cancel()
 	}
 	r.mu.Unlock()
-	r.hub.Shutdown()
-	r.log.Info("router drained", "events_forwarded", r.ingested.Load(), "results_merged", r.emitted.Load())
+	r.edge.Hub.Shutdown()
+	r.edge.Log.Info("router drained", "events_forwarded", r.edge.Ingested.Load(), "results_merged", r.edge.Emitted.Load())
 }
 
 // Drain stops ingestion and ends the merged stream. Idempotent.
-func (r *Router) Drain(ctx context.Context) error {
-	r.gate.Lock()
-	already := r.draining
-	r.draining = true
-	r.gate.Unlock()
-	if !already {
-		close(r.drainReq)
-	}
-	select {
-	case <-r.pumpDone:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (r *Router) Drain(ctx context.Context) error { return r.edge.Drain(ctx) }
 
 // healthLoop probes the workers and injects death checks for broken
 // ones; it also refreshes the per-worker occupancy gauges.
@@ -736,7 +642,7 @@ func (r *Router) healthLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-r.pumpDone:
+		case <-r.edge.Done():
 			return
 		case <-t.C:
 		}
@@ -793,70 +699,30 @@ func (r *Router) probe(id string) (healthy bool, groups int64) {
 // suspectDead asks the pump to re-probe and, if confirmed, rebalance.
 // Non-blocking: if the queue is full the next health tick retries.
 func (r *Router) suspectDead(id string) {
-	select {
-	case r.ingest <- routerMsg{ctl: &routerCtl{deadcheck: id}}:
-	default:
-	}
+	r.edge.Offer(routerMsg{Ctl: &routerCtl{deadcheck: id}})
 }
 
 // --- HTTP ---
 
 // Handler returns the router's HTTP handler.
-func (r *Router) Handler() http.Handler { return r.mux }
+func (r *Router) Handler() http.Handler { return r.edge.Handler() }
 
 // ListenAndServe serves the handler on addr, draining after ctx ends.
 func (r *Router) ListenAndServe(ctx context.Context, addr string) error {
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           r.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	r.log.Info("draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := r.Drain(drainCtx); err != nil {
-		r.log.Warn("drain", "err", err)
-	}
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel2()
-	return hs.Shutdown(shutCtx)
+	return r.edge.ListenAndServe(ctx, addr)
 }
 
+// routes registers the router's own routes; the edge serves /ingest,
+// /watermark, /subscribe, /subscribe/ws and /debug/traces.
 func (r *Router) routes() {
-	r.mux = http.NewServeMux()
-	r.mux.HandleFunc("GET /{$}", r.handleIndex)
-	r.mux.HandleFunc("POST /ingest", r.handleIngest)
-	r.mux.HandleFunc("POST /watermark", r.handleWatermark)
-	r.mux.HandleFunc("GET /subscribe", r.handleSubscribe)
-	r.mux.HandleFunc("GET /subscribe/ws", r.handleSubscribeWS)
-	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
-	r.mux.HandleFunc("GET /debug/traces", r.handleTraces)
-	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /queries", r.handleQueries)
-	r.mux.HandleFunc("GET /cluster/workers", r.handleWorkersGet)
-	r.mux.HandleFunc("POST /cluster/workers", r.handleWorkersPost)
-	r.mux.HandleFunc("DELETE /cluster/workers", r.handleWorkersDelete)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	e := r.edge
+	e.HandleFunc("GET /{$}", r.handleIndex)
+	e.HandleFunc("GET /metrics", r.handleMetrics)
+	e.HandleFunc("GET /healthz", r.handleHealthz)
+	e.HandleFunc("GET /queries", r.handleQueries)
+	e.HandleFunc("GET /cluster/workers", r.handleWorkersGet)
+	e.HandleFunc("POST /cluster/workers", r.handleWorkersPost)
+	e.HandleFunc("DELETE /cluster/workers", r.handleWorkersDelete)
 }
 
 func (r *Router) handleIndex(w http.ResponseWriter, req *http.Request) {
@@ -880,184 +746,36 @@ DELETE /cluster/workers?url=U   graceful leave (ranges handed to survivors)
 `)
 }
 
-// enqueue mirrors sharond's bounded-queue backpressure. As in sharond,
-// the gate covers only the admission decision and the non-blocking
-// send; the refusal response (network I/O) goes out after the release
-// so a slow client cannot stall Drain's write-side acquire.
-func (r *Router) enqueue(w http.ResponseWriter, msg routerMsg) bool {
-	r.gate.RLock()
-	draining, accepted, failure := r.draining, false, ""
-	if !draining && msg.ctl == nil {
-		failure = r.failed()
-	}
-	if !draining && failure == "" {
-		select {
-		case r.ingest <- msg:
-			accepted = true
-		default:
-		}
-	}
-	r.gate.RUnlock()
-	switch {
-	case accepted:
-		return true
-	case draining:
-		writeErr(w, http.StatusServiceUnavailable, "draining")
-	case failure != "":
-		writeErr(w, http.StatusServiceUnavailable, "cluster failed: %s", failure)
-	default:
-		r.rej429.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, "ingest queue full (%d batches); retry", cap(r.ingest))
-	}
-	return false
-}
-
-func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	body := http.MaxBytesReader(w, req.Body, r.cfg.MaxBatchBytes)
-	batch := server.GetBatch()
-	var err error
-	decodeStart := time.Now()
-	binary := server.IsBatchContentType(req.Header.Get("Content-Type"))
-	if binary {
-		var data []byte
-		if data, err = io.ReadAll(body); err == nil {
-			err = server.DecodeWireBatch(data, r.lookup, batch)
-		}
-	} else {
-		err = batch.ReadNDJSON(body, r.lookup)
-	}
-	if err == nil {
-		d := time.Since(decodeStart).Nanoseconds()
-		if binary {
-			r.stages.decodeBinary.Record(d)
-		} else {
-			r.stages.decodeNDJSON.Record(d)
-		}
-	}
-	if err != nil {
-		server.PutBatch(batch)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			r.rej413.Add(1)
-			writeErr(w, http.StatusRequestEntityTooLarge, "batch exceeds %d bytes", r.cfg.MaxBatchBytes)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "parse: %v", err)
-		return
-	}
-	// Read before enqueue: the pump may recycle the batch concurrently
-	// once it holds the message.
-	accepted, unknown := len(batch.Events), batch.Unknown
-	r.droppedUnknown.Add(unknown)
-	if accepted == 0 && batch.Watermark < 0 {
-		server.PutBatch(batch)
-		writeJSON(w, http.StatusOK, map[string]any{"accepted": 0, "dropped_unknown_type": unknown})
-		return
-	}
-	if !r.enqueue(w, routerMsg{batch: *batch, recycle: batch, admitNano: time.Now().UnixNano()}) {
-		server.PutBatch(batch)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"accepted":             accepted,
-		"dropped_unknown_type": unknown,
-		"queue_depth":          len(r.ingest),
-	})
-}
-
-func (r *Router) handleWatermark(w http.ResponseWriter, req *http.Request) {
-	var line server.IngestLine
-	body := http.MaxBytesReader(w, req.Body, 4096)
-	if err := json.NewDecoder(body).Decode(&line); err != nil || line.Watermark == nil {
-		writeErr(w, http.StatusBadRequest, `want {"watermark":<ticks>}`)
-		return
-	}
-	if !r.enqueue(w, routerMsg{batch: server.Batch{Watermark: *line.Watermark}, admitNano: time.Now().UnixNano()}) {
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"watermark": *line.Watermark})
-}
-
-func (r *Router) streamOptions() server.StreamOptions {
-	return server.StreamOptions{
-		Hub: r.hub,
-		QueryKnown: func(id int) bool {
-			_, ok := r.queries[id]
-			return ok
-		},
-		Watermark: func() int64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			return r.mergedWM
-		},
-	}
-}
-
-func (r *Router) handleSubscribe(w http.ResponseWriter, req *http.Request) {
-	server.ServeStream(w, req, r.streamOptions())
-}
-
-func (r *Router) handleSubscribeWS(w http.ResponseWriter, req *http.Request) {
-	server.ServeStreamWS(w, req, r.streamOptions())
-}
-
 func (r *Router) handleQueries(w http.ResponseWriter, req *http.Request) {
 	out := make([]map[string]any, len(r.cfg.Queries))
 	for i, text := range r.cfg.Queries {
 		out[i] = map[string]any{"id": i, "label": r.queries[i].Label(), "query": text}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"queries": out})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"queries": out})
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if f := r.failed(); f != "" {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"status": "error", "error": f})
+	if f := r.edge.Failed(); f != "" {
+		server.WriteJSON(w, http.StatusInternalServerError, map[string]string{"status": "error", "error": f})
 		return
 	}
-	r.gate.RLock()
-	draining := r.draining
-	r.gate.RUnlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	if r.edge.Draining() {
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	r.gate.RLock()
-	draining := r.draining
-	r.gate.RUnlock()
 	st := metrics.RouterStats{
-		UptimeSec:                time.Since(r.start).Seconds(),
-		Queries:                  len(r.cfg.Queries),
-		Watermark:                r.wm.Load(),
-		EventsIngested:           r.ingested.Load(),
-		EventsDroppedLate:        r.droppedLate.Load(),
-		EventsDroppedUnknownType: r.droppedUnknown.Load(),
-		Batches:                  r.batches.Load(),
-		RejectedBackpressure:     r.rej429.Load(),
-		RejectedOversize:         r.rej413.Load(),
-		IngestQueueDepth:         len(r.ingest),
-		IngestQueueCap:           cap(r.ingest),
-		ResultsEmitted:           r.emitted.Load(),
-		ResultsDelivered:         r.hub.DeliveredResults(),
-		Subscribers:              r.hub.Count(),
-		SlowConsumerDisconnects:  r.hub.SlowDrops(),
-		FanoutFramesEncoded:      r.hub.Encoded(),
-		FanoutFramesDelivered:    r.hub.Delivered(),
-		FanoutDroppedSlow:        r.hub.SlowDrops(),
-		FanoutDroppedFiltered:    r.hub.FilteredDrops(),
-		AutoScaleOut:             r.autoOut.Load(),
-		AutoScaleIn:              r.autoIn.Load(),
-		AutoScaleFailed:          r.autoScaleFail.Load(),
-		Rebalances:               r.rebalances.Load(),
-		RebalancesFailed:         r.rebalanceFail.Load(),
-		LastRebalanceMs:          float64(r.lastRebalance.Load()) / 1e6,
-		Draining:                 draining,
-		Error:                    r.failed(),
-		Stages:                   r.stages.summaries(),
+		EdgeStats:        r.edge.Stats(len(r.cfg.Queries)),
+		AutoScaleOut:     r.autoOut.Load(),
+		AutoScaleIn:      r.autoIn.Load(),
+		AutoScaleFailed:  r.autoScaleFail.Load(),
+		Rebalances:       r.rebalances.Load(),
+		RebalancesFailed: r.rebalanceFail.Load(),
+		LastRebalanceMs:  float64(r.lastRebalance.Load()) / 1e6,
+		Error:            r.edge.Failed(),
 	}
 	r.mu.Lock()
 	st.MergedWatermark = r.mergedWM
@@ -1090,10 +808,10 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	}
 	r.mu.Unlock()
 	if obs.MetricsFormat(req) == "prometheus" {
-		r.writeProm(w, st)
+		r.edge.WriteProm(w, st.EdgeStats, func(pw *obs.PromWriter) { r.writeProm(pw, st) })
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 func (r *Router) handleWorkersGet(w http.ResponseWriter, req *http.Request) {
@@ -1111,7 +829,7 @@ func (r *Router) handleWorkersGet(w http.ResponseWriter, req *http.Request) {
 		specs = append(specs, m)
 	}
 	r.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"workers":    specs,
 		"vnodes":     r.cfg.VNodes,
 		"rebalances": r.rebalances.Load(),
@@ -1121,14 +839,14 @@ func (r *Router) handleWorkersGet(w http.ResponseWriter, req *http.Request) {
 // sendCtl submits a membership change through the pump and waits.
 func (r *Router) sendCtl(w http.ResponseWriter, ctl *routerCtl) {
 	ctl.reply = make(chan ctlResult, 1)
-	if !r.enqueue(w, routerMsg{ctl: ctl}) {
+	if !r.edge.Enqueue(w, routerMsg{Ctl: ctl}) {
 		return
 	}
 	select {
 	case res := <-ctl.reply:
-		writeJSON(w, res.status, res.body)
+		server.WriteJSON(w, res.status, res.body)
 	case <-time.After(2 * time.Minute):
-		writeErr(w, http.StatusGatewayTimeout, "membership change timed out")
+		server.WriteErr(w, http.StatusGatewayTimeout, "membership change timed out")
 	}
 }
 
@@ -1136,7 +854,7 @@ func (r *Router) handleWorkersPost(w http.ResponseWriter, req *http.Request) {
 	var spec WorkerSpec
 	lim := http.MaxBytesReader(w, req.Body, 1<<20)
 	if err := json.NewDecoder(lim).Decode(&spec); err != nil || spec.URL == "" {
-		writeErr(w, http.StatusBadRequest, `want {"url":"http://...", "data_dir":"..."}`)
+		server.WriteErr(w, http.StatusBadRequest, `want {"url":"http://...", "data_dir":"..."}`)
 		return
 	}
 	spec.URL = strings.TrimSuffix(spec.URL, "/")
@@ -1149,7 +867,7 @@ func (r *Router) handleWorkersPost(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleWorkersDelete(w http.ResponseWriter, req *http.Request) {
 	id := strings.TrimSuffix(req.URL.Query().Get("url"), "/")
 	if id == "" {
-		writeErr(w, http.StatusBadRequest, "worker url required: DELETE /cluster/workers?url=...")
+		server.WriteErr(w, http.StatusBadRequest, "worker url required: DELETE /cluster/workers?url=...")
 		return
 	}
 	r.sendCtl(w, &routerCtl{leave: id})

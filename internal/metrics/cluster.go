@@ -6,51 +6,10 @@ import "github.com/sharon-project/sharon/internal/obs"
 // and merge progress plus the per-worker shard-occupancy and rebalance
 // counters.
 type RouterStats struct {
-	// UptimeSec is the wall-clock seconds since the router started.
-	UptimeSec float64 `json:"uptime_sec"`
-	// Queries is the number of queries the cluster serves.
-	Queries int `json:"queries"`
-	// Watermark is the router's ingest stream position (max event time
-	// or explicit watermark; -1 before the first).
-	Watermark int64 `json:"watermark"`
+	EdgeStats
 	// MergedWatermark is the merge frontier: every result for windows
 	// ending at or before it has been emitted downstream.
 	MergedWatermark int64 `json:"merged_watermark"`
-
-	// EventsIngested counts events accepted and forwarded.
-	EventsIngested int64 `json:"events_ingested"`
-	// EventsDroppedLate / EventsDroppedUnknownType mirror sharond's
-	// ingest filters, applied once at the router.
-	EventsDroppedLate        int64 `json:"events_dropped_late"`
-	EventsDroppedUnknownType int64 `json:"events_dropped_unknown_type"`
-	// Batches counts accepted ingest batches.
-	Batches int64 `json:"batches"`
-	// RejectedBackpressure / RejectedOversize count 429/413 refusals.
-	RejectedBackpressure int64 `json:"rejected_backpressure"`
-	RejectedOversize     int64 `json:"rejected_oversize"`
-	// IngestQueueDepth/Cap describe the router's bounded ingest queue.
-	IngestQueueDepth int `json:"ingest_queue_depth"`
-	IngestQueueCap   int `json:"ingest_queue_cap"`
-
-	// ResultsEmitted counts merged results pushed downstream (the
-	// cluster's global emission sequence height).
-	ResultsEmitted int64 `json:"results_emitted"`
-	// ResultsDelivered counts frames fanned out to subscribers.
-	ResultsDelivered int64 `json:"results_delivered"`
-	// Subscribers is the number of live downstream subscriptions.
-	Subscribers int `json:"subscribers"`
-	// SlowConsumerDisconnects counts subscribers dropped for lagging.
-	SlowConsumerDisconnects int64 `json:"slow_consumer_disconnects"`
-
-	// FanoutFramesEncoded counts shared frames rendered once per merged
-	// result or control event (never multiplied by subscriber count);
-	// FanoutFramesDelivered counts frames written into subscriber
-	// streams. FanoutDroppedSlow/Filtered count subscribers ended with
-	// an explicit `dropped` terminal frame.
-	FanoutFramesEncoded   int64 `json:"fanout_frames_encoded"`
-	FanoutFramesDelivered int64 `json:"fanout_frames_delivered"`
-	FanoutDroppedSlow     int64 `json:"fanout_dropped_slow"`
-	FanoutDroppedFiltered int64 `json:"fanout_dropped_filtered"`
 
 	// AutoScaleOut/AutoScaleIn count occupancy-triggered join/leave
 	// rebalances the router launched on its own; AutoScaleFailed counts
@@ -69,14 +28,8 @@ type RouterStats struct {
 	// LastRebalanceMs is the duration of the most recent rebalance.
 	LastRebalanceMs float64 `json:"last_rebalance_ms"`
 
-	// Draining reports shutdown; Error a fatal cluster condition.
-	Draining bool   `json:"draining"`
-	Error    string `json:"error,omitempty"`
-
-	// Stages holds the router's per-stage latency digests, keyed
-	// decode_ndjson, decode_binary, queue, forward, fanout. Values are
-	// milliseconds. Empty stages are omitted.
-	Stages map[string]obs.Summary `json:"stages,omitempty"`
+	// Error is a fatal cluster condition.
+	Error string `json:"error,omitempty"`
 
 	// Workers is the per-worker view: membership, merge frontier, and
 	// shard occupancy.

@@ -1,66 +1,13 @@
 package metrics
 
-import "github.com/sharon-project/sharon/internal/obs"
-
 // ServerStats is the point-in-time counter snapshot sharond serves on
 // /metrics: the network-facing complement of RunStats/ParallelStats for
 // an open-ended run — ingestion, backpressure, subscription, and
 // watermark progress counters instead of a finite stream's totals.
 type ServerStats struct {
-	// UptimeSec is the wall-clock seconds since the server started.
-	UptimeSec float64 `json:"uptime_sec"`
-	// Queries is the number of registered queries.
-	Queries int `json:"queries"`
+	EdgeStats
 	// Parallelism is the configured shard worker count (1 = sequential).
 	Parallelism int `json:"parallelism"`
-
-	// EventsIngested counts events accepted into the engine.
-	EventsIngested int64 `json:"events_ingested"`
-	// EventsDroppedLate counts events discarded for arriving at or
-	// behind the stream watermark.
-	EventsDroppedLate int64 `json:"events_dropped_late"`
-	// EventsDroppedUnknownType counts events whose type matches no
-	// registered query's pattern alphabet.
-	EventsDroppedUnknownType int64 `json:"events_dropped_unknown_type"`
-	// Batches counts accepted ingest batches.
-	Batches int64 `json:"batches"`
-	// RejectedBackpressure counts ingest batches refused with 429
-	// because the bounded ingest queue was full.
-	RejectedBackpressure int64 `json:"rejected_backpressure"`
-	// RejectedOversize counts ingest requests refused with 413 for
-	// exceeding the request body limit.
-	RejectedOversize int64 `json:"rejected_oversize"`
-	// IngestQueueDepth/IngestQueueCap describe the bounded ingest queue.
-	IngestQueueDepth int `json:"ingest_queue_depth"`
-	IngestQueueCap   int `json:"ingest_queue_cap"`
-	// Watermark is the stream watermark in ticks (max event time or
-	// explicit watermark seen; -1 before the first).
-	Watermark int64 `json:"watermark"`
-
-	// ResultsEmitted counts results the engine pushed to the server's
-	// sink; ResultsDelivered counts result messages fanned out to
-	// subscribers (one per result per matching subscriber).
-	ResultsEmitted   int64 `json:"results_emitted"`
-	ResultsDelivered int64 `json:"results_delivered"`
-	// Subscribers is the number of live result subscriptions.
-	Subscribers int `json:"subscribers"`
-	// SlowConsumerDisconnects counts subscribers dropped because the
-	// broadcast log's retention overran their cursor.
-	SlowConsumerDisconnects int64 `json:"slow_consumer_disconnects"`
-
-	// FanoutFramesEncoded counts shared frames rendered by the broadcast
-	// tier — one per published result or control event, never multiplied
-	// by subscriber count (the encode-once invariant).
-	// FanoutFramesDelivered counts frames written into subscriber
-	// streams (one per frame per matching subscriber).
-	FanoutFramesEncoded   int64 `json:"fanout_frames_encoded"`
-	FanoutFramesDelivered int64 `json:"fanout_frames_delivered"`
-	// FanoutDroppedSlow/FanoutDroppedFiltered count subscribers ended
-	// with an explicit `dropped` terminal frame on log overrun
-	// (slow-consumer = unfiltered, filtered-resume = filtered stream
-	// that cannot verify its own loss).
-	FanoutDroppedSlow     int64 `json:"fanout_dropped_slow"`
-	FanoutDroppedFiltered int64 `json:"fanout_dropped_filtered"`
 
 	// Migrations counts live workload changes (queries added/removed)
 	// that installed a new plan.
@@ -82,17 +29,6 @@ type ServerStats struct {
 	// GroupsLive is a gauge of the live per-group runtimes the engine
 	// owns — in a cluster, each worker's share of the key space.
 	GroupsLive int64 `json:"groups_live"`
-	// Draining reports whether the server is shutting down.
-	Draining bool `json:"draining"`
-
-	// Stages digests the per-stage pipeline latency histograms (values
-	// in milliseconds; "wire_batch_events" is a size distribution in
-	// events). Keys: decode_ndjson, decode_binary, decode_stream,
-	// queue, apply, emit, fanout — see README "Observability" for the
-	// stage boundaries. A superset field: absent before the first
-	// sample only if the map is empty.
-	Stages map[string]obs.Summary `json:"stages,omitempty"`
-
 	// Parallel carries the shard-occupancy counters when the engine
 	// runs the parallel executor.
 	Parallel *ParallelStatsJSON `json:"parallel,omitempty"`

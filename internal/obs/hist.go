@@ -1,9 +1,8 @@
 // Package obs is the module's dependency-free observability layer:
 // lock-free log-bucketed histograms cheap enough for //sharon:hotpath
 // code, a hand-rolled Prometheus text-exposition encoder (and the
-// minimal parser the tooling uses to read it back), a ring-buffered
-// span tracer, and a log/slog bridge onto the printf-style Logf sinks
-// the servers already take. Everything here is stdlib-only.
+// minimal parser the tooling uses to read it back), and a
+// ring-buffered span tracer. Everything here is stdlib-only.
 package obs
 
 import (

@@ -30,6 +30,14 @@ func MetricsFormat(r *http.Request) string {
 	return "json"
 }
 
+// Bool renders a boolean as a 0/1 gauge value.
+func Bool(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // PromWriter renders metric families in the Prometheus text exposition
 // format v0.0.4. Samples of one family must be written consecutively;
 // the HELP/TYPE header is emitted once per family.

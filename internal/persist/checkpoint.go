@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -263,16 +264,16 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 // LoadLatestCheckpoint returns the newest checkpoint in dir that loads
 // and validates cleanly, skipping damaged ones (a crash mid-write leaves
 // only a temp file, but defense in depth costs little), or nil when none
-// exists.
-func LoadLatestCheckpoint(dir string, logf func(format string, args ...any)) (*Checkpoint, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
+// exists. Skipped checkpoints are logged to log (nil discards).
+func LoadLatestCheckpoint(dir string, log *slog.Logger) (*Checkpoint, error) {
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
 	}
 	var firstErr error
 	for _, path := range listCheckpoints(dir) {
 		c, err := ReadCheckpoint(path)
 		if err != nil {
-			logf("checkpoint %s unreadable, trying older: %v", filepath.Base(path), err)
+			log.Warn("checkpoint unreadable, trying older", "file", filepath.Base(path), "err", err)
 			if firstErr == nil {
 				firstErr = err
 			}

@@ -239,7 +239,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatalf("%d checkpoints after pruning", len(names))
 	}
 
-	got, err := LoadLatestCheckpoint(dir, t.Logf)
+	got, err := LoadLatestCheckpoint(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(names[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := LoadLatestCheckpoint(dir, t.Logf)
+	got2, err := LoadLatestCheckpoint(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

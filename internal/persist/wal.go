@@ -89,9 +89,6 @@ type WALOptions struct {
 	Fsync FsyncPolicy
 	// FsyncEvery is the FsyncInterval period (default 1s).
 	FsyncEvery time.Duration
-	// Logf receives operational notes (torn-tail truncation); nil
-	// discards them.
-	Logf func(format string, args ...any)
 }
 
 func (o *WALOptions) fill() {
@@ -100,9 +97,6 @@ func (o *WALOptions) fill() {
 	}
 	if o.FsyncEvery <= 0 {
 		o.FsyncEvery = time.Second
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 }
 
@@ -136,9 +130,10 @@ type WAL struct {
 	nextSeq  int64
 	lastSync time.Time
 
-	appended int64
-	synced   int64
-	dirty    bool // records written since the last sync
+	appended  int64
+	synced    int64
+	tornBytes int64 // torn tail truncated at open
+	dirty     bool  // records written since the last sync
 }
 
 const walMaxRecord = 256 << 20 // sanity bound on a frame's body length
@@ -182,7 +177,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 		}
 		if final {
 			if validSize < w.segments[i].size {
-				w.opts.Logf("wal: truncating torn tail of %s at %d (was %d)", w.segments[i].path, validSize, w.segments[i].size)
+				w.tornBytes = w.segments[i].size - validSize
 				if err := os.Truncate(w.segments[i].path, validSize); err != nil {
 					return nil, fmt.Errorf("persist: truncate torn wal tail: %w", err)
 				}
@@ -453,11 +448,13 @@ type WALStats struct {
 	NextSeq  int64 `json:"next_seq"`
 	Appended int64 `json:"appended"`
 	Syncs    int64 `json:"syncs"`
+	// TornBytes is the torn tail cut off the last segment at open.
+	TornBytes int64 `json:"torn_bytes"`
 }
 
 // Stats snapshots the WAL's counters.
 func (w *WAL) Stats() WALStats {
-	st := WALStats{Segments: len(w.segments), NextSeq: w.nextSeq, Appended: w.appended, Syncs: w.synced}
+	st := WALStats{Segments: len(w.segments), NextSeq: w.nextSeq, Appended: w.appended, Syncs: w.synced, TornBytes: w.tornBytes}
 	for _, s := range w.segments {
 		st.Bytes += s.size
 	}

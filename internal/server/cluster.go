@@ -121,7 +121,7 @@ func (s *Server) applyExtract(req *ctlReq) {
 		fail(ctlErrf(http.StatusInternalServerError, "encode: %v", err))
 		return
 	}
-	s.cfg.Logf("cluster extract op %d: %d groups handed off to %s at watermark %d", x.Op, len(keys), x.Target, s.wmState)
+	s.edge.Log.Info("cluster extract", "op", x.Op, "groups", len(keys), "target", x.Target, "watermark", s.wmState)
 	req.reply <- ctlReply{status: http.StatusOK, raw: body}
 }
 
@@ -214,10 +214,10 @@ func (s *Server) adoptApply(a *persist.AdoptRecord) (groups int, regen int64, er
 			return
 		}
 		seq := s.seq.Add(1) - 1
-		s.emitted.Add(1)
+		s.edge.Emitted.Add(1)
 		payload := EncodeResult(qs, seq, r)
-		s.ring.Append(seq, payload)
-		s.hub.Publish(r.Query, int64(r.Group), seq, payload, time.Now().UnixNano())
+		s.edge.Ring.Append(seq, payload)
+		s.edge.Hub.Publish(r.Query, int64(r.Group), seq, payload, time.Now().UnixNano())
 		regen++
 	}
 	tmp, err := sharon.NewSystem(w, sharon.Options{
@@ -276,10 +276,9 @@ func (s *Server) adoptApply(a *persist.AdoptRecord) (groups int, regen int64, er
 	}
 	if a.TargetWM > s.wmState {
 		s.wmState = a.TargetWM
-		s.wm.Store(a.TargetWM)
+		s.edge.Watermark.Store(a.TargetWM)
 	}
-	s.cfg.Logf("cluster adopt op %d: %d groups grafted at watermark %d (%d results regenerated past %d)",
-		a.Op, len(caught.Engine.Groups), a.TargetWM, regen, emitFrom)
+	s.edge.Log.Info("cluster adopt", "op", a.Op, "groups", len(caught.Engine.Groups), "watermark", a.TargetWM, "regenerated", regen, "past", emitFrom)
 	return len(caught.Engine.Groups), regen, nil
 }
 
@@ -299,18 +298,18 @@ func (s *Server) replayAdopt(rec persist.AdoptRecord) error {
 // regenerated results delivered" barrier. Ordered after the regenerated
 // results because both flow through the hub from the pump goroutine.
 func (s *Server) adoptDone(a *persist.AdoptRecord) {
-	s.hub.PublishCtl("adopted", fmt.Appendf(nil, `{"op":%d,"watermark":%d}`, a.Op, s.wmState))
+	s.edge.Hub.PublishCtl("adopted", fmt.Appendf(nil, `{"op":%d,"watermark":%d}`, a.Op, s.wmState))
 }
 
 func (s *Server) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 	var x ExtractRequest
 	lim := http.MaxBytesReader(w, r.Body, 1<<20)
 	if err := json.NewDecoder(lim).Decode(&x); err != nil {
-		writeErr(w, http.StatusBadRequest, "parse: %v", err)
+		WriteErr(w, http.StatusBadRequest, "parse: %v", err)
 		return
 	}
 	if x.Source == "" || x.Target == "" || len(x.Old) == 0 || len(x.New) == 0 {
-		writeErr(w, http.StatusBadRequest, "want {op, vnodes, old:[...], new:[...], source, target}")
+		WriteErr(w, http.StatusBadRequest, "want {op, vnodes, old:[...], new:[...], source, target}")
 		return
 	}
 	s.sendCtl(w, &ctlReq{extract: &x})
@@ -322,12 +321,12 @@ func (s *Server) handleClusterAdopt(w http.ResponseWriter, r *http.Request) {
 	lim := http.MaxBytesReader(w, r.Body, 1<<30)
 	body, err := io.ReadAll(lim)
 	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "read: %v", err)
+		WriteErr(w, http.StatusRequestEntityTooLarge, "read: %v", err)
 		return
 	}
 	rec, err := persist.DecodeAdoptRecord(body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "decode: %v", err)
+		WriteErr(w, http.StatusBadRequest, "decode: %v", err)
 		return
 	}
 	s.sendCtl(w, &ctlReq{adopt: &rec})

@@ -47,15 +47,17 @@ func (s *Server) initDurability() error {
 		SegmentBytes: s.cfg.WALSegmentBytes,
 		Fsync:        s.cfg.Fsync,
 		FsyncEvery:   s.cfg.FsyncEvery,
-		Logf:         s.cfg.Logf,
 	}
-	ck, err := persist.LoadLatestCheckpoint(s.cfg.DataDir, s.cfg.Logf)
+	ck, err := persist.LoadLatestCheckpoint(s.cfg.DataDir, s.edge.Log)
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
 	wal, err := persist.OpenWAL(s.cfg.DataDir, walOpts)
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
+	}
+	if n := wal.Stats().TornBytes; n > 0 {
+		s.edge.Log.Warn("wal torn tail truncated", "bytes", n)
 	}
 	// A failing boot discards the *Server; close the segment handle
 	// instead of leaking it to GC finalization.
@@ -76,7 +78,7 @@ func (s *Server) initDurability() error {
 	// below the cursor — the next recovery would skip them. Restart the
 	// log just past the cursor.
 	if ck.WALSeq >= wal.NextSeq() {
-		s.cfg.Logf("wal ends at seq %d below checkpoint cursor %d; resetting log past the cursor", wal.NextSeq()-1, ck.WALSeq)
+		s.edge.Log.Warn("wal ends below checkpoint cursor; resetting log past the cursor", "wal_last_seq", wal.NextSeq()-1, "cursor", ck.WALSeq)
 		if err := wal.Reset(ck.WALSeq + 1); err != nil {
 			return fail(fmt.Errorf("server: wal reset: %w", err))
 		}
@@ -116,24 +118,23 @@ func (s *Server) initDurability() error {
 	}
 	s.cur = cur
 	s.wmState = ck.Watermark
-	s.wm.Store(ck.Watermark)
+	s.edge.Watermark.Store(ck.Watermark)
 	s.seq.Store(ck.NextEmitSeq)
-	s.emitted.Store(ck.Emitted)
-	s.ingested.Store(ck.EventsIngested)
-	s.batches.Store(ck.Batches)
+	s.edge.Emitted.Store(ck.Emitted)
+	s.edge.Ingested.Store(ck.EventsIngested)
+	s.edge.Batches.Store(ck.Batches)
 	s.typeCounts = ck.TypeCounts
 	if s.typeCounts == nil {
 		s.typeCounts = make(map[sharon.Type]float64)
 	}
 	s.countFrom = ck.CountFrom
-	s.ring.Load(ck.Ring, ck.NextEmitSeq)
+	s.edge.Ring.Load(ck.Ring, ck.NextEmitSeq)
 	// Reseed the broadcast log too, so ?after=N resume (and filtered
 	// resume) is served across a restart from the same retained tail.
-	s.hub.Seed(ck.Ring, ck.NextEmitSeq)
+	s.edge.Hub.Seed(ck.Ring, ck.NextEmitSeq)
 	s.appliedSeq = ck.WALSeq
 	s.lastCkptAt.Store(ck.CreatedUnixNano)
-	s.cfg.Logf("recovered checkpoint at wal seq %d, watermark %d, %d queries, emit seq %d",
-		ck.WALSeq, ck.Watermark, len(entries), ck.NextEmitSeq)
+	s.edge.Log.Info("recovered checkpoint", "wal_seq", ck.WALSeq, "watermark", ck.Watermark, "queries", len(entries), "emit_seq", ck.NextEmitSeq)
 	return nil
 }
 
@@ -187,8 +188,7 @@ func (s *Server) recoverWAL() error {
 		return fmt.Errorf("server: wal replay: %w", err)
 	}
 	if n := s.replayedBatches.Load(); n > 0 {
-		s.cfg.Logf("replayed %d wal batches (%d events) in %s; watermark %d",
-			n, s.replayedEvents.Load(), time.Since(start).Round(time.Millisecond), s.wmState)
+		s.edge.Log.Info("replayed wal", "batches", n, "events", s.replayedEvents.Load(), "took", time.Since(start).Round(time.Millisecond), "watermark", s.wmState)
 	}
 	return nil
 }
@@ -215,12 +215,12 @@ func (s *Server) checkpoint(final bool) {
 	// or below it is on stable storage: sync before cutting, or a power
 	// failure could persist a checkpoint pointing past the log's end.
 	if err := s.wal.Sync(); err != nil {
-		s.cfg.Logf("checkpoint: wal sync: %v", err)
+		s.edge.Log.Error("checkpoint: wal sync", "err", err)
 		return
 	}
 	snap, err := s.cur.sys.Snapshot()
 	if err != nil {
-		s.cfg.Logf("checkpoint: snapshot: %v", err)
+		s.edge.Log.Error("checkpoint: snapshot", "err", err)
 		return
 	}
 	entries := make([]persist.QueryEntry, len(s.cur.entries))
@@ -236,9 +236,9 @@ func (s *Server) checkpoint(final bool) {
 		WALSeq:          s.appliedSeq,
 		Watermark:       s.wmState,
 		NextEmitSeq:     s.seq.Load(),
-		Emitted:         s.emitted.Load(),
-		EventsIngested:  s.ingested.Load(),
-		Batches:         s.batches.Load(),
+		Emitted:         s.edge.Emitted.Load(),
+		EventsIngested:  s.edge.Ingested.Load(),
+		Batches:         s.edge.Batches.Load(),
 		NextQueryID:     s.nextID,
 		Parallelism:     s.cfg.Parallelism,
 		Dynamic:         s.cfg.Dynamic,
@@ -247,12 +247,12 @@ func (s *Server) checkpoint(final bool) {
 		Plan:            s.cur.plan,
 		TypeCounts:      counts,
 		CountFrom:       s.countFrom,
-		Ring:            s.ring.Snapshot(),
+		Ring:            s.edge.Ring.Snapshot(),
 		State:           snap,
 	}
 	path, size, err := persist.WriteCheckpoint(s.cfg.DataDir, ck)
 	if err != nil {
-		s.cfg.Logf("checkpoint: %v", err)
+		s.edge.Log.Error("checkpoint", "err", err)
 		return
 	}
 	s.lastCkptTimer = time.Now()
@@ -260,14 +260,14 @@ func (s *Server) checkpoint(final bool) {
 	s.lastCkptBytes.Store(size)
 	s.checkpoints.Add(1)
 	if err := s.wal.TruncateThrough(ck.WALSeq); err != nil {
-		s.cfg.Logf("checkpoint: wal truncate: %v", err)
+		s.edge.Log.Error("checkpoint: wal truncate", "err", err)
 	}
 	s.publishDurabilityStats()
 	kind := "periodic"
 	if final {
 		kind = "final"
 	}
-	s.cfg.Logf("%s checkpoint at wal seq %d (watermark %d) -> %s", kind, ck.WALSeq, ck.Watermark, path)
+	s.edge.Log.Info("checkpoint", "kind", kind, "wal_seq", ck.WALSeq, "watermark", ck.Watermark, "path", path)
 }
 
 // publishDurabilityStats refreshes the handler-visible WAL counters.

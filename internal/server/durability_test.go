@@ -24,7 +24,7 @@ func durableServer(t *testing.T, dir string, par int, extra func(*Config)) (*Ser
 		CheckpointEvery: 40 * time.Millisecond, // force several mid-run checkpoints
 		Fsync:           persist.FsyncAlways,
 		WriteTimeout:    5 * time.Second,
-		Logf:            t.Logf,
+		Logger:          testLogger(t),
 	}
 	if extra != nil {
 		extra(&cfg)
@@ -405,7 +405,7 @@ func TestRestartParallelismMismatch(t *testing.T) {
 	}
 	ts1.Close()
 
-	_, err := New(Config{Queries: testQueries, Parallelism: 4, DataDir: dir, Logf: t.Logf})
+	_, err := New(Config{Queries: testQueries, Parallelism: 4, DataDir: dir, Logger: testLogger(t)})
 	if err == nil || !strings.Contains(err.Error(), "parallelism") {
 		t.Fatalf("mismatched parallelism accepted: %v", err)
 	}

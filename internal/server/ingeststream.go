@@ -25,7 +25,7 @@ const streamIdleTimeout = 2 * time.Minute
 //
 //	ok       accepted into the pump queue (carries accepted/dropped counts)
 //	busy     queue stayed full past the ack deadline — re-send the frame
-//	draining server shutting down (terminal)
+//	draining server shutting down or failed (terminal)
 //	bad      malformed frame (terminal; nothing partial was applied)
 //	oversize frame exceeds MaxBatchBytes (terminal)
 //
@@ -34,20 +34,20 @@ const streamIdleTimeout = 2 * time.Minute
 // the CRC frame layer rejects it before decoding starts.
 func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 	if !IsBatchContentType(r.Header.Get("Content-Type")) {
-		writeErr(w, http.StatusUnsupportedMediaType, "stream ingest requires Content-Type %s", BatchContentType)
+		WriteErr(w, http.StatusUnsupportedMediaType, "stream ingest requires Content-Type %s", BatchContentType)
 		return
 	}
 	if err := readWireHeader(r.Body); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		WriteErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rc := http.NewResponseController(w)
 	if err := rc.EnableFullDuplex(); err != nil {
-		writeErr(w, http.StatusInternalServerError, "full-duplex streaming unsupported: %v", err)
+		WriteErr(w, http.StatusInternalServerError, "full-duplex streaming unsupported: %v", err)
 		return
 	}
 	conn := s.connID.Add(1)
-	log := s.log.With("conn", conn, "remote", r.RemoteAddr)
+	log := s.edge.Log.With("conn", conn, "remote", r.RemoteAddr)
 	log.Debug("stream ingest open")
 	defer log.Debug("stream ingest closed")
 	w.Header().Set("Content-Type", BatchContentType)
@@ -68,7 +68,7 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 		// Deadline errors are deliberately ignored: not every
 		// ResponseWriter supports deadlines (httptest recorders), and a
 		// failed extension surfaces as a write error next.
-		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		_ = rc.SetWriteDeadline(time.Now().Add(s.edge.cfg.WriteTimeout))
 		if _, err := w.Write(ackBuf); err != nil {
 			return false
 		}
@@ -76,14 +76,14 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 	}
 	for {
 		_ = rc.SetReadDeadline(time.Now().Add(streamIdleTimeout))
-		body, buf, err := persist.ReadFrame(r.Body, s.cfg.MaxBatchBytes, connBuf)
+		body, buf, err := persist.ReadFrame(r.Body, s.edge.cfg.MaxBatchBytes, connBuf)
 		connBuf = buf
 		if err != nil {
 			switch {
 			case err == io.EOF:
 				// Clean end of stream at a frame boundary.
 			case errors.Is(err, persist.ErrFrameTooLarge):
-				s.rej413.Add(1)
+				s.edge.rej413.Add(1)
 				writeAck(WireAck{Status: WireAckOversize})
 			default:
 				// Torn or corrupted frame: nothing partial was decoded,
@@ -99,8 +99,7 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
 		}
 		switch body[0] {
 		case wireFrameTypes:
-			lookup := s.types.Load().(map[string]sharon.Type)
-			if table, err = decodeWireTypeTable(body[1:], lookup, table); err != nil {
+			if table, err = decodeWireTypeTable(body[1:], *s.edge.types.Load(), table); err != nil {
 				writeAck(WireAck{Status: WireAckBad})
 				return
 			}
@@ -129,31 +128,33 @@ func (s *Server) streamBatch(body []byte, table []sharon.Type, writeAck func(Wir
 		writeAck(WireAck{Status: WireAckBad})
 		return false
 	}
-	s.stages.decodeStream.Record(time.Since(decodeStart).Nanoseconds())
+	s.decodeStream.Record(time.Since(decodeStart).Nanoseconds())
 	accepted, unknown := int64(len(b.Events)), b.Unknown
-	s.droppedUnknown.Add(unknown)
+	s.edge.droppedUnknown.Add(unknown)
 	if accepted == 0 && b.Watermark < 0 {
 		PutBatch(b)
 		return writeAck(WireAck{Status: WireAckOK, Unknown: unknown})
 	}
-	msg := pumpMsg{batch: *b, recycle: b}
+	msg := pumpMsg{Batch: *b, Recycle: b}
 	deadline := time.Now().Add(s.cfg.streamAckAfter)
 	for {
 		// Re-stamp per attempt so queue-stage time starts at the admit
 		// that actually succeeded, not at the first full-queue refusal.
-		msg.admitNano = time.Now().UnixNano()
-		ok, draining := s.tryEnqueue(msg)
+		msg.AdmitNano = time.Now().UnixNano()
+		why := s.edge.tryEnqueue(msg)
 		switch {
-		case ok:
+		case why == admitted:
 			return writeAck(WireAck{Status: WireAckOK, Accepted: accepted, Unknown: unknown})
-		case draining:
+		case why != queueFull:
+			// Draining or failed: both end the stream; the client takes
+			// its remaining frames elsewhere.
 			PutBatch(b)
 			writeAck(WireAck{Status: WireAckDraining})
 			return false
 		case time.Now().After(deadline):
 			// The stream's 429-equivalent: drop the batch, tell the
 			// client, keep the connection — it may re-send the frame.
-			s.rej429.Add(1)
+			s.edge.rej429.Add(1)
 			PutBatch(b)
 			return writeAck(WireAck{Status: WireAckBusy})
 		}

@@ -192,8 +192,7 @@ func (s *Server) installWorkload(entries []queryEntry, boundary int64, next *bui
 	s.cur = next
 	s.migrations.Add(1)
 	s.publishView()
-	s.cfg.Logf("workload change: %d queries, boundary window %d, plan %s",
-		len(entries), boundary, s.loadView().plan)
+	s.edge.Log.Info("workload change", "queries", len(entries), "boundary_window", boundary, "plan", s.loadView().plan)
 }
 
 // ctlApplicable reports whether a workload change can run right now.
@@ -287,7 +286,7 @@ func (s *Server) replayCtl(rec persist.CtlRecord) error {
 // the data plane (the pump serializes both) and awaits the reply.
 func (s *Server) sendCtl(w http.ResponseWriter, req *ctlReq) {
 	req.reply = make(chan ctlReply, 1)
-	if !s.enqueue(w, pumpMsg{ctl: req}) {
+	if !s.edge.Enqueue(w, pumpMsg{Ctl: req}) {
 		return
 	}
 	select {
@@ -298,9 +297,9 @@ func (s *Server) sendCtl(w http.ResponseWriter, req *ctlReq) {
 			_, _ = w.Write(rep.raw)
 			return
 		}
-		writeJSON(w, rep.status, rep.body)
+		WriteJSON(w, rep.status, rep.body)
 	case <-time.After(30 * time.Second):
-		writeErr(w, http.StatusGatewayTimeout, "control request timed out")
+		WriteErr(w, http.StatusGatewayTimeout, "control request timed out")
 	}
 }
 
@@ -317,7 +316,7 @@ func (s *Server) queryList() []map[string]any {
 
 func (s *Server) handleQueriesGet(w http.ResponseWriter, r *http.Request) {
 	v := s.loadView()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"queries":    s.queryList(),
 		"plan":       v.plan,
 		"plan_score": v.score,
@@ -332,7 +331,7 @@ func (s *Server) handleQueriesPost(w http.ResponseWriter, r *http.Request) {
 	}
 	lim := http.MaxBytesReader(w, r.Body, 1<<20)
 	if err := json.NewDecoder(lim).Decode(&body); err != nil || strings.TrimSpace(body.Query) == "" {
-		writeErr(w, http.StatusBadRequest, `want {"query":"RETURN ... PATTERN SEQ(...) ..."}`)
+		WriteErr(w, http.StatusBadRequest, `want {"query":"RETURN ... PATTERN SEQ(...) ..."}`)
 		return
 	}
 	s.sendCtl(w, &ctlReq{add: []string{body.Query}})
@@ -342,7 +341,7 @@ func (s *Server) handleQueriesDelete(w http.ResponseWriter, r *http.Request) {
 	raw := strings.TrimPrefix(r.PathValue("id"), "q")
 	id, err := strconv.Atoi(raw)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
+		WriteErr(w, http.StatusBadRequest, "bad query id %q", r.PathValue("id"))
 		return
 	}
 	s.sendCtl(w, &ctlReq{remove: []int{id}})

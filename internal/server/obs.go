@@ -1,32 +1,9 @@
 package server
 
 import (
-	"net/http"
-	"strconv"
-
 	"github.com/sharon-project/sharon/internal/metrics"
 	"github.com/sharon-project/sharon/internal/obs"
 )
-
-// serverStages aggregates per-stage pipeline latency so /metrics can
-// answer "where does ingest-to-emit latency go" server-side. Stage
-// boundaries (all recorded in nanoseconds):
-//
-//	decode_*  request read + parse, per wire path (ndjson | binary
-//	          one-shot | stream frame)
-//	queue     ingest-queue admit → pump dequeue
-//	apply     engine feed + watermark advance for one batch
-//	emit      ingest-queue admit → result published (ingest-to-emit)
-//	fanout    result published → subscriber socket write
-type serverStages struct {
-	decodeNDJSON obs.Histogram
-	decodeBinary obs.Histogram
-	decodeStream obs.Histogram
-	queue        obs.Histogram
-	apply        obs.Histogram
-	emit         obs.Histogram
-	fanout       obs.Histogram
-}
 
 // wireBatchEvents is the per-frame batch-size distribution at the
 // binary decode edge. It is recorded inside decodeWireEvents — on the
@@ -36,81 +13,19 @@ type serverStages struct {
 // sharond process hosts one server, and the router exposes its own.
 var wireBatchEvents obs.Histogram
 
-// summaries digests the stage histograms for the JSON /metrics form
-// (milliseconds; the batch-size series stays in events).
-func (st *serverStages) summaries() map[string]obs.Summary {
-	return map[string]obs.Summary{
-		"decode_ndjson":     st.decodeNDJSON.Snapshot().Summary(1e-6),
-		"decode_binary":     st.decodeBinary.Snapshot().Summary(1e-6),
-		"decode_stream":     st.decodeStream.Snapshot().Summary(1e-6),
-		"queue":             st.queue.Snapshot().Summary(1e-6),
-		"apply":             st.apply.Snapshot().Summary(1e-6),
-		"emit":              st.emit.Snapshot().Summary(1e-6),
-		"fanout":            st.fanout.Snapshot().Summary(1e-6),
-		"wire_batch_events": wireBatchEvents.Snapshot().Summary(1),
-	}
-}
-
-// promStages lists the latency stages in stable exposition order.
-func (st *serverStages) promStages() []struct {
-	name string
-	h    *obs.Histogram
-} {
-	return []struct {
-		name string
-		h    *obs.Histogram
-	}{
-		{"decode_ndjson", &st.decodeNDJSON},
-		{"decode_binary", &st.decodeBinary},
-		{"decode_stream", &st.decodeStream},
-		{"queue", &st.queue},
-		{"apply", &st.apply},
-		{"emit", &st.emit},
-		{"fanout", &st.fanout},
-	}
-}
-
-// writeProm renders the full ServerStats snapshot in the Prometheus
-// text exposition format v0.0.4 (the JSON form's counters plus the
-// stage histograms with their buckets).
-func (s *Server) writeProm(w http.ResponseWriter, st metrics.ServerStats) {
-	pw := &obs.PromWriter{}
-	pw.Gauge("sharon_uptime_seconds", "Seconds since the server started.", nil, st.UptimeSec)
-	pw.Gauge("sharon_queries", "Registered queries.", nil, float64(st.Queries))
+// writeProm renders the server's own families after the edge's
+// (text exposition v0.0.4).
+func writeProm(pw *obs.PromWriter, st metrics.ServerStats) {
 	pw.Gauge("sharon_parallelism", "Configured shard worker count.", nil, float64(st.Parallelism))
-	pw.Counter("sharon_events_ingested_total", "Events accepted into the engine.", nil, float64(st.EventsIngested))
-	pw.Counter("sharon_events_dropped_total", "Events discarded before apply, by reason.", []string{"reason", "late"}, float64(st.EventsDroppedLate))
-	pw.Counter("sharon_events_dropped_total", "Events discarded before apply, by reason.", []string{"reason", "unknown_type"}, float64(st.EventsDroppedUnknownType))
-	pw.Counter("sharon_batches_total", "Accepted ingest batches.", nil, float64(st.Batches))
-	pw.Counter("sharon_rejected_total", "Refused ingest requests, by reason.", []string{"reason", "backpressure"}, float64(st.RejectedBackpressure))
-	pw.Counter("sharon_rejected_total", "Refused ingest requests, by reason.", []string{"reason", "oversize"}, float64(st.RejectedOversize))
-	pw.Gauge("sharon_ingest_queue_depth", "Parsed batches queued ahead of the pump.", nil, float64(st.IngestQueueDepth))
-	pw.Gauge("sharon_ingest_queue_cap", "Ingest queue capacity.", nil, float64(st.IngestQueueCap))
-	pw.Gauge("sharon_watermark", "Stream watermark in ticks (-1 before the first).", nil, float64(st.Watermark))
-	pw.Counter("sharon_results_emitted_total", "Results pushed to the server sink.", nil, float64(st.ResultsEmitted))
-	pw.Counter("sharon_results_delivered_total", "Result frames fanned out to subscribers.", nil, float64(st.ResultsDelivered))
-	pw.Gauge("sharon_subscribers", "Live result subscriptions.", nil, float64(st.Subscribers))
-	pw.Counter("sharon_slow_consumer_disconnects_total", "Subscribers dropped on broadcast-log overrun.", nil, float64(st.SlowConsumerDisconnects))
-	pw.Gauge("sharon_fanout_subscribers", "Live subscriptions on the broadcast fan-out tier.", nil, float64(st.Subscribers))
-	pw.Counter("sharon_fanout_frames_encoded_total", "Shared frames rendered (once per published result or ctl event).", nil, float64(st.FanoutFramesEncoded))
-	pw.Counter("sharon_fanout_frames_delivered_total", "Frames written into subscriber streams.", nil, float64(st.FanoutFramesDelivered))
-	pw.Counter("sharon_fanout_dropped_total", "Subscribers ended with an explicit dropped frame, by reason.", []string{"reason", "slow-consumer"}, float64(st.FanoutDroppedSlow))
-	pw.Counter("sharon_fanout_dropped_total", "Subscribers ended with an explicit dropped frame, by reason.", []string{"reason", "filtered-resume"}, float64(st.FanoutDroppedFiltered))
 	pw.Counter("sharon_migrations_total", "Live workload changes that installed a new plan.", nil, float64(st.Migrations))
 	if st.BurstState != "" {
-		pw.Gauge("sharon_burst_state", "Adaptive detector state (0 = valley/split, 1 = burst/shared).", nil, boolGauge(st.BurstState == "burst"))
+		pw.Gauge("sharon_burst_state", "Adaptive detector state (0 = valley/split, 1 = burst/shared).", nil, obs.Bool(st.BurstState == "burst"))
 	}
 	pw.Counter("sharon_share_transitions_total", "Confirmed burst transitions that installed the shared plan.", nil, float64(st.ShareTransitions))
 	pw.Counter("sharon_split_transitions_total", "Confirmed valley transitions that split back to per-query plans.", nil, float64(st.SplitTransitions))
 	pw.Counter("sharon_pruned_starts_total", "START records recycled at birth by the state reduction.", nil, float64(st.PrunedStarts))
 	pw.Gauge("sharon_peak_live_states", "Peak live aggregate-state count.", nil, float64(st.PeakLiveStates))
 	pw.Gauge("sharon_groups_live", "Live per-group runtimes owned by the engine.", nil, float64(st.GroupsLive))
-	pw.Gauge("sharon_draining", "1 while the server is shutting down.", nil, boolGauge(st.Draining))
-
-	const stageHelp = "Per-stage pipeline latency (see README Observability for stage boundaries)."
-	for _, sg := range s.stages.promStages() {
-		pw.Histogram("sharon_stage_latency_seconds", stageHelp, []string{"stage", sg.name}, sg.h.Snapshot(), 1e-9)
-	}
 	pw.Histogram("sharon_wire_batch_events", "Events per binary wire frame at the decode edge.", nil, wireBatchEvents.Snapshot(), 1)
 
 	if p := st.Parallel; p != nil {
@@ -127,23 +42,6 @@ func (s *Server) writeProm(w http.ResponseWriter, st metrics.ServerStats) {
 		pw.Counter("sharon_wal_syncs_total", "WAL fsyncs since boot.", nil, float64(d.WalSyncs))
 		pw.Counter("sharon_checkpoints_total", "Checkpoints written since boot.", nil, float64(d.Checkpoints))
 		pw.Gauge("sharon_last_checkpoint_age_seconds", "Age of the newest checkpoint (-1 before the first).", nil, d.LastCheckpointAgeSec)
-		pw.Gauge("sharon_recovering", "1 while WAL replay is running.", nil, boolGauge(d.Recovering))
+		pw.Gauge("sharon_recovering", "1 while WAL replay is running.", nil, obs.Bool(d.Recovering))
 	}
-
-	w.Header().Set("Content-Type", obs.PromContentType)
-	_, _ = w.Write(pw.Bytes())
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// handleTraces dumps the most recent pipeline spans (?n= bounds the
-// count, default all retained) as JSON.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-	writeJSON(w, http.StatusOK, map[string]any{"spans": s.tracer.Spans(n)})
 }

@@ -2,14 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,28 +49,17 @@ type Config struct {
 	// detector state and transition counters surface on /metrics.
 	Adaptive bool
 
-	// MaxBatchBytes bounds an ingest request body (default 8 MiB);
-	// larger requests are rejected with 413 before buffering.
-	MaxBatchBytes int64
-	// IngestQueue bounds the number of parsed batches queued ahead of
-	// the engine (default 256). A full queue rejects ingestion with 429
-	// — the explicit backpressure signal.
-	IngestQueue int
-	// SubscriberBuffer is deprecated: subscriptions no longer buffer
-	// per-subscriber. Delivery is cursor-based over the shared broadcast
-	// log, bounded by ReplayBuffer (a subscriber overrun by the log's
-	// retention is disconnected with an explicit `dropped` frame). The
-	// field is accepted and ignored so existing flag/config wiring keeps
-	// working.
-	SubscriberBuffer int
-	// ReplayBuffer bounds the retained recent-emission window in results
-	// (default 16384): the broadcast log that /subscribe?after=N resume
-	// and slow-subscriber tolerance are served from, and the checkpoint
-	// replay ring.
-	ReplayBuffer int
-	// FanoutWriters sizes the broadcast writer pool fanning frames out
-	// to subscribers (default 4 goroutines).
-	FanoutWriters int
+	// The request edge's settings (see EdgeConfig for their meaning
+	// and defaults). They stay top-level here so Config literals can
+	// set them; the router embeds EdgeConfig instead.
+	MaxBatchBytes  int64
+	IngestQueue    int
+	ReplayBuffer   int
+	FanoutWriters  int
+	HeartbeatEvery time.Duration
+	WriteTimeout   time.Duration
+	TraceSpans     int
+	Logger         *slog.Logger
 
 	// DataDir enables durability: an append-only WAL of applied ingest
 	// steps plus periodic engine checkpoints live under this directory,
@@ -90,21 +74,6 @@ type Config struct {
 	FsyncEvery time.Duration
 	// WALSegmentBytes sets the WAL segment rotation size (default 16 MiB).
 	WALSegmentBytes int64
-	// HeartbeatEvery is the SSE keep-alive comment interval (default 15s).
-	HeartbeatEvery time.Duration
-	// WriteTimeout is the per-write deadline on subscription streams and
-	// the write timeout of ListenAndServe's response writes (default 10s).
-	WriteTimeout time.Duration
-	// Logf receives operational log lines; nil discards them.
-	Logf func(format string, args ...any)
-	// Logger receives structured operational logs. Nil bridges onto
-	// Logf (so existing -v / test sinks keep every line); set it to a
-	// real slog handler for leveled text/JSON output (sharond
-	// -log-format).
-	Logger *slog.Logger
-	// TraceSpans bounds the always-on span ring served by
-	// GET /debug/traces (default 1024 spans).
-	TraceSpans int
 
 	// streamAckAfter bounds how long a streaming-ingest batch waits for
 	// queue space before the server acks busy (the stream's
@@ -118,23 +87,28 @@ type Config struct {
 	// recoveryGate, when non-nil, stalls the pump before WAL replay
 	// until the channel yields (tests observe the recovering state).
 	recoveryGate chan struct{}
+	// walFault, when non-nil, is consulted after each live WAL append;
+	// a non-nil return fails the append (tests simulate a full disk).
+	walFault func() error
+}
+
+// edge returns the request edge's share of the config.
+func (c *Config) edge() EdgeConfig {
+	return EdgeConfig{
+		MaxBatchBytes:  c.MaxBatchBytes,
+		IngestQueue:    c.IngestQueue,
+		ReplayBuffer:   c.ReplayBuffer,
+		FanoutWriters:  c.FanoutWriters,
+		HeartbeatEvery: c.HeartbeatEvery,
+		WriteTimeout:   c.WriteTimeout,
+		TraceSpans:     c.TraceSpans,
+		Logger:         c.Logger,
+	}
 }
 
 func (c *Config) fill() {
 	if c.Adaptive {
 		c.Dynamic = true // adaptive mode runs on the dynamic system
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 8 << 20
-	}
-	if c.IngestQueue <= 0 {
-		c.IngestQueue = 256
-	}
-	if c.ReplayBuffer <= 0 {
-		c.ReplayBuffer = 16384
-	}
-	if c.FanoutWriters <= 0 {
-		c.FanoutWriters = 4
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 10 * time.Second
@@ -142,42 +116,19 @@ func (c *Config) fill() {
 	if c.FsyncEvery <= 0 {
 		c.FsyncEvery = time.Second
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 15 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.Parallelism == 0 {
 		c.Parallelism = 1
 	}
 	if c.streamAckAfter <= 0 {
 		c.streamAckAfter = time.Second
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	if c.Logger == nil {
-		c.Logger = obs.NewLogfLogger(c.Logf)
-	}
-	if c.TraceSpans <= 0 {
-		c.TraceSpans = 1024
-	}
 }
 
 // pumpMsg is one unit of pump work: a parsed ingest batch or a
-// control-plane request (live workload change). recycle, when non-nil,
-// is the pooled batch backing batch.Events; the pump returns it to the
-// pool after the step (safe because FeedBatch and the WAL encoder both
-// copy events — nothing downstream retains the slice).
-type pumpMsg struct {
-	batch   Batch
-	ctl     *ctlReq
-	recycle *Batch
-	// admitNano stamps when the message entered the ingest queue
-	// (obs stage timing); 0 skips the queue/emit stage records.
-	admitNano int64
-}
+// control-plane request (live workload change). Recycling the batch
+// after the step is safe because FeedBatch and the WAL encoder both
+// copy events — nothing downstream retains the slice.
+type pumpMsg = PumpMsg[ctlReq]
 
 // workloadView is the immutable snapshot handlers read lock-free.
 type workloadView struct {
@@ -189,19 +140,22 @@ type workloadView struct {
 }
 
 // Server is a running sharond instance: one pump goroutine owning the
-// engine, a bounded ingest queue in front of it, and a hub fanning the
-// engine's OnResult sink out to the subscriptions.
+// engine behind the shared request edge, whose hub fans the engine's
+// OnResult sink out to the subscriptions.
 type Server struct {
-	cfg    Config
-	reg    *sharon.Registry
-	hub    *Hub
-	mux    *http.ServeMux
-	start  time.Time
-	log    *slog.Logger
-	tracer *obs.Tracer
+	cfg  Config
+	reg  *sharon.Registry
+	edge *Edge[ctlReq]
 
-	// stages aggregates per-stage pipeline latency (see obs.go).
-	stages serverStages
+	// The server's own latency stages, in nanoseconds; the edge records
+	// decode_ndjson, decode_binary and fanout (see README
+	// "Observability"):
+	//
+	//	decode_stream  one /ingest/stream frame read + parse
+	//	queue          ingest-queue admit → pump dequeue
+	//	apply          engine feed + watermark advance for one batch
+	//	emit           ingest-queue admit → result published
+	decodeStream, queue, apply, emit *obs.Histogram
 	// batchStamp is the admit time of the step the pump is currently
 	// applying; the sink reads it to attribute emitted results to their
 	// triggering batch (the ingest-to-emit "emit" stage).
@@ -212,15 +166,8 @@ type Server struct {
 	// not one per (query, group) result).
 	lastWinTraced atomic.Int64
 
-	// Lock-free snapshots for the HTTP handlers.
-	types atomic.Value // map[string]sharon.Type
-	view  atomic.Value // *workloadView
-
-	ingest   chan pumpMsg
-	gate     sync.RWMutex // guards draining against in-flight enqueues
-	draining bool
-	drainReq chan struct{}
-	pumpDone chan struct{}
+	// Lock-free workload snapshot for the HTTP handlers.
+	view atomic.Value // *workloadView
 
 	// Engine state, owned by the pump goroutine after New returns.
 	cur         *builtSystem
@@ -233,33 +180,23 @@ type Server struct {
 	lastStatsAt time.Time
 
 	// Durability (nil wal = disabled). The WAL, appliedSeq, and the
-	// checkpoint timer are owned by the pump after recovery; the ring is
-	// internally synchronized.
+	// checkpoint timer are owned by the pump after recovery.
 	wal           *persist.WAL
-	ring          *ReplayRing
 	appliedSeq    int64
 	lastCkptTimer time.Time
 
-	// Counters, written by the pump/sink, read by the handlers.
+	// Counters, written by the pump/sink, read by the handlers; the
+	// ingest counters live on the edge.
 	seq             atomic.Int64
-	emitted         atomic.Int64
-	ingested        atomic.Int64
-	droppedLate     atomic.Int64
-	droppedUnknown  atomic.Int64
-	batches         atomic.Int64
-	rej429          atomic.Int64
-	rej413          atomic.Int64
 	migrations      atomic.Int64
 	burstState      atomic.Int32 // exec.BurstState of the last decision
 	shareTrans      atomic.Int64
 	splitTrans      atomic.Int64
 	prunedStarts    atomic.Int64
-	wm              atomic.Int64
 	maxAdvance      atomic.Int64
 	peakStates      atomic.Int64
 	groupsLive      atomic.Int64
 	parStats        atomic.Pointer[metrics.ParallelStatsJSON]
-	runErr          atomic.Value // string
 	recovering      atomic.Bool
 	replayedBatches atomic.Int64
 	replayedEvents  atomic.Int64
@@ -281,27 +218,22 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:           cfg,
 		reg:           sharon.NewRegistry(),
-		ring:          NewReplayRing(cfg.ReplayBuffer),
-		start:         time.Now(),
-		ingest:        make(chan pumpMsg, cfg.IngestQueue),
-		drainReq:      make(chan struct{}),
-		pumpDone:      make(chan struct{}),
 		wmState:       -1,
 		typeCounts:    make(map[sharon.Type]float64),
 		countFrom:     -1,
 		appliedSeq:    -1,
 		lastCkptTimer: time.Now(),
 	}
-	s.log = cfg.Logger
-	s.tracer = obs.NewTracer(cfg.TraceSpans)
-	s.hub = NewHub(HubOptions{
-		Writers:        cfg.FanoutWriters,
-		Retain:         cfg.ReplayBuffer,
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		WriteTimeout:   cfg.WriteTimeout,
-		FanoutNs:       &s.stages.fanout,
+	s.edge = NewEdge[ctlReq](cfg.edge(), EdgeTier{
+		Prefix: "sharon_",
+		Stages: []string{"decode_ndjson", "decode_binary", "decode_stream", "queue", "apply", "emit", "fanout"},
+		QueryKnown: func(id int) bool {
+			_, ok := s.loadView().queries[id]
+			return ok
+		},
 	})
-	s.wm.Store(-1)
+	s.decodeStream, s.queue = s.edge.Stage("decode_stream"), s.edge.Stage("queue")
+	s.apply, s.emit = s.edge.Stage("apply"), s.edge.Stage("emit")
 	s.lastWinTraced.Store(-1)
 
 	if cfg.DataDir != "" {
@@ -341,7 +273,7 @@ func New(cfg Config) (*Server, error) {
 	s.publishView()
 	s.publishDurabilityStats()
 	s.routes()
-	go s.pump()
+	s.edge.Start(s.pump)
 	return s, nil
 }
 
@@ -402,7 +334,7 @@ func (s *Server) publishView() {
 	for _, name := range s.reg.Names() {
 		lookup[name] = s.reg.Lookup(name)
 	}
-	s.types.Store(lookup)
+	s.edge.SetTypes(lookup)
 }
 
 func (s *Server) loadView() *workloadView { return s.view.Load().(*workloadView) }
@@ -416,7 +348,6 @@ func (s *Server) loadView() *workloadView { return s.view.Load().(*workloadView)
 //
 //sharon:pump
 func (s *Server) pump() {
-	defer close(s.pumpDone)
 	if s.wal != nil {
 		if s.cfg.recoveryGate != nil {
 			<-s.cfg.recoveryGate
@@ -438,22 +369,22 @@ func (s *Server) pump() {
 	}
 	for {
 		select {
-		case msg := <-s.ingest:
+		case msg := <-s.edge.Ingest():
 			if s.cfg.pumpGate != nil {
 				<-s.cfg.pumpGate
 			}
 			s.step(msg)
-			PutBatch(msg.recycle)
+			PutBatch(msg.Recycle)
 		case <-idleSync:
 			if err := s.wal.SyncIfDirty(); err != nil {
 				s.fail(err)
 			}
-		case <-s.drainReq:
+		case <-s.edge.DrainRequested():
 			for {
 				select {
-				case msg := <-s.ingest:
+				case msg := <-s.edge.Ingest():
 					s.step(msg)
-					PutBatch(msg.recycle)
+					PutBatch(msg.Recycle)
 				default:
 					s.finish()
 					return
@@ -469,24 +400,24 @@ func (s *Server) pump() {
 //sharon:pump
 func (s *Server) step(msg pumpMsg) {
 	stepStart := time.Now()
-	if msg.admitNano > 0 {
-		s.stages.queue.Record(stepStart.UnixNano() - msg.admitNano)
-		s.batchStamp.Store(msg.admitNano)
+	if msg.AdmitNano > 0 {
+		s.queue.Record(stepStart.UnixNano() - msg.AdmitNano)
+		s.batchStamp.Store(msg.AdmitNano)
 	} else {
 		s.batchStamp.Store(stepStart.UnixNano())
 	}
-	if msg.ctl != nil {
+	if msg.Ctl != nil {
 		switch {
-		case msg.ctl.adopt != nil:
-			s.applyAdopt(msg.ctl)
-		case msg.ctl.extract != nil:
-			s.applyExtract(msg.ctl)
+		case msg.Ctl.adopt != nil:
+			s.applyAdopt(msg.Ctl)
+		case msg.Ctl.extract != nil:
+			s.applyExtract(msg.Ctl)
 		default:
-			s.applyCtl(msg.ctl)
+			s.applyCtl(msg.Ctl)
 		}
 		return
 	}
-	b := msg.batch
+	b := msg.Batch
 	// Drop late events: the watermark is a promise already made to the
 	// engine; a slow client replaying the past cannot corrupt the run.
 	// After a restart the watermark comes back from the checkpoint+WAL,
@@ -495,7 +426,7 @@ func (s *Server) step(msg pumpMsg) {
 	events := b.Events
 	for len(events) > 0 && events[0].Time <= s.wmState {
 		events = events[1:]
-		s.droppedLate.Add(1)
+		s.edge.DroppedLate.Add(1)
 	}
 	// Resolve the effective watermark against the post-batch stream
 	// position so the logged record captures exactly what is applied.
@@ -513,6 +444,9 @@ func (s *Server) step(msg pumpMsg) {
 	// Log before apply: a crash after this point replays the step.
 	if s.wal != nil {
 		seq, err := s.wal.Append(persist.RecBatch, persist.EncodeBatchRecord(persist.BatchRecord{Events: events, Watermark: wm}))
+		if err == nil && s.cfg.walFault != nil {
+			err = s.cfg.walFault()
+		}
 		if err != nil {
 			s.fail(err)
 			return
@@ -525,12 +459,12 @@ func (s *Server) step(msg pumpMsg) {
 		// Recorded under the same condition applyBatch counts a batch, so
 		// the apply stage's count equals the batches counter for live
 		// traffic — the invariant the CI smoke jobs assert.
-		s.stages.apply.Record(time.Since(applyStart).Nanoseconds())
-		s.tracer.Record(obs.Span{
+		s.apply.Record(time.Since(applyStart).Nanoseconds())
+		s.edge.Tracer.Record(obs.Span{
 			Kind:      "batch",
 			Start:     s.batchStamp.Load(),
 			DurNs:     time.Now().UnixNano() - s.batchStamp.Load(),
-			Batch:     s.batches.Load(),
+			Batch:     s.edge.Batches.Load(),
 			Events:    int64(len(events)),
 			Watermark: s.wmState,
 		})
@@ -546,7 +480,7 @@ func (s *Server) step(msg pumpMsg) {
 // parallel engine the pump quiesces the merge stage first so the
 // marker cannot overtake the results it covers.
 func (s *Server) punctuate() {
-	if s.hub.PunctCount() == 0 {
+	if s.edge.Hub.PunctCount() == 0 {
 		return
 	}
 	if s.old != nil {
@@ -559,7 +493,7 @@ func (s *Server) punctuate() {
 		s.fail(err)
 		return
 	}
-	s.hub.PublishCtl("wm", fmt.Appendf(nil, `{"watermark":%d}`, s.wmState))
+	s.edge.Hub.PublishCtl("wm", fmt.Appendf(nil, `{"watermark":%d}`, s.wmState))
 }
 
 // applyBatch feeds one late-filtered batch and effective watermark into
@@ -584,8 +518,8 @@ func (s *Server) applyBatch(events []sharon.Event, wm int64) {
 			s.fail(err)
 			return
 		}
-		s.ingested.Add(int64(len(events)))
-		s.batches.Add(1)
+		s.edge.Ingested.Add(int64(len(events)))
+		s.edge.Batches.Add(1)
 		s.wmState = events[len(events)-1].Time
 	}
 	if wm > s.wmState {
@@ -627,7 +561,7 @@ func (s *Server) clampWatermarkFrom(base, wm int64) int64 {
 		base = 0
 	}
 	if limit := base + s.maxAdvance.Load(); wm > limit {
-		s.log.Warn("watermark clamped", "requested", wm, "clamped_to", limit, "max_advance", s.maxAdvance.Load())
+		s.edge.Log.Warn("watermark clamped", "requested", wm, "clamped_to", limit, "max_advance", s.maxAdvance.Load())
 		return limit
 	}
 	return wm
@@ -655,7 +589,7 @@ func (s *Server) completeHandoff() {
 // than paid per batch; the watermark gauge is a cheap atomic and always
 // current.
 func (s *Server) publishEngineStats(force bool) {
-	s.wm.Store(s.wmState)
+	s.edge.Watermark.Store(s.wmState)
 	if !force && time.Since(s.lastStatsAt) < 500*time.Millisecond {
 		return
 	}
@@ -668,11 +602,14 @@ func (s *Server) publishEngineStats(force bool) {
 	s.prunedStarts.Store(s.cur.sys.DynamicStats().PrunedStarts)
 }
 
-// fail records an engine error. The late filter makes ordering errors
-// unreachable, so any error here is a server bug surfaced on /healthz.
+// fail records an engine or WAL error. The late filter makes ordering
+// errors unreachable, so an engine error here is a server bug; a WAL
+// error is a full or failing disk. Either way /healthz turns red and
+// the edge refuses further ingest, so nothing is acknowledged that the
+// server can no longer log.
 func (s *Server) fail(err error) {
-	s.log.Error("engine error", "err", err)
-	s.runErr.CompareAndSwap(nil, err.Error())
+	s.edge.Log.Error("engine error", "err", err)
+	s.edge.Fail(err.Error())
 }
 
 // finish is the drain tail. Without durability it flushes every open
@@ -687,7 +624,7 @@ func (s *Server) finish() {
 		s.publishEngineStats(true)
 		s.checkpoint(true) // no-op while a workload change drains; the WAL covers it
 		if err := s.wal.Close(); err != nil {
-			s.log.Error("wal close", "err", err)
+			s.edge.Log.Error("wal close", "err", err)
 		}
 		s.publishDurabilityStats()
 		if s.old != nil {
@@ -695,8 +632,8 @@ func (s *Server) finish() {
 			s.old = nil
 		}
 		s.cur.sys.Close()
-		s.hub.Shutdown()
-		s.log.Info("drained (durable)", "events", s.ingested.Load(), "results", s.emitted.Load(), "wal_seq", s.appliedSeq)
+		s.edge.Hub.Shutdown()
+		s.edge.Log.Info("drained (durable)", "events", s.edge.Ingested.Load(), "results", s.edge.Emitted.Load(), "wal_seq", s.appliedSeq)
 		return
 	}
 	if s.old != nil {
@@ -711,8 +648,8 @@ func (s *Server) finish() {
 	}
 	s.cur.sys.Close()
 	s.publishEngineStats(true)
-	s.hub.Shutdown()
-	s.log.Info("drained", "events", s.ingested.Load(), "results", s.emitted.Load())
+	s.edge.Hub.Shutdown()
+	s.edge.Log.Info("drained", "events", s.edge.Ingested.Load(), "results", s.edge.Emitted.Load())
 }
 
 // measuredRates converts the pump's observed per-type counts into
@@ -732,87 +669,33 @@ func (s *Server) measuredRates() sharon.Rates {
 // Drain stops ingestion, flushes every open window into the
 // subscriptions, and ends them with an eof frame. It returns when the
 // pump finished or ctx expired. Idempotent.
-func (s *Server) Drain(ctx context.Context) error {
-	s.gate.Lock()
-	already := s.draining
-	s.draining = true
-	s.gate.Unlock()
-	if !already {
-		close(s.drainReq)
-	}
-	select {
-	case <-s.pumpDone:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (s *Server) Drain(ctx context.Context) error { return s.edge.Drain(ctx) }
 
 // --- HTTP ---
 
 // Handler returns the server's HTTP handler (for tests and embedding;
 // ListenAndServe wraps it with an http.Server).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.edge.Handler() }
 
-// ListenAndServe serves the handler on addr with bounded request
-// reading, shutting the listener down after ctx is cancelled and the
-// engine drained. Subscription streams are long-lived, so the server's
-// global WriteTimeout stays 0 and every write sets its own deadline
-// (Config.WriteTimeout) through http.ResponseController instead.
+// ListenAndServe serves the handler on addr, draining after ctx ends
+// (see Edge.ListenAndServe).
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	s.log.Info("draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Drain(drainCtx); err != nil {
-		s.log.Error("drain", "err", err)
-	}
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel2()
-	return hs.Shutdown(shutCtx)
+	return s.edge.ListenAndServe(ctx, addr)
 }
 
+// routes registers the server's own routes; the edge serves /ingest,
+// /watermark, /subscribe, /subscribe/ws and /debug/traces.
 func (s *Server) routes() {
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /{$}", s.handleIndex)
-	s.mux.HandleFunc("POST /ingest", s.handleIngest)
-	s.mux.HandleFunc("POST /ingest/stream", s.handleIngestStream)
-	s.mux.HandleFunc("POST /watermark", s.handleWatermark)
-	s.mux.HandleFunc("GET /subscribe", s.handleSubscribe)
-	s.mux.HandleFunc("GET /subscribe/ws", s.handleSubscribeWS)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /queries", s.handleQueriesGet)
-	s.mux.HandleFunc("POST /queries", s.handleQueriesPost)
-	s.mux.HandleFunc("DELETE /queries/{id}", s.handleQueriesDelete)
-	s.mux.HandleFunc("POST /cluster/extract", s.handleClusterExtract)
-	s.mux.HandleFunc("POST /cluster/adopt", s.handleClusterAdopt)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	e := s.edge
+	e.HandleFunc("GET /{$}", s.handleIndex)
+	e.HandleFunc("POST /ingest/stream", s.handleIngestStream)
+	e.HandleFunc("GET /metrics", s.handleMetrics)
+	e.HandleFunc("GET /healthz", s.handleHealthz)
+	e.HandleFunc("GET /queries", s.handleQueriesGet)
+	e.HandleFunc("POST /queries", s.handleQueriesPost)
+	e.HandleFunc("DELETE /queries/{id}", s.handleQueriesDelete)
+	e.HandleFunc("POST /cluster/extract", s.handleClusterExtract)
+	e.HandleFunc("POST /cluster/adopt", s.handleClusterAdopt)
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -842,203 +725,48 @@ POST   /cluster/adopt    cluster rebalance: graft a hash range in (router-driven
 `)
 }
 
-// enqueue pushes a pump message under the drain gate; it reports
-// whether the message was accepted and writes the refusal otherwise.
-// The gate is held only for the drain check and the non-blocking send;
-// the HTTP refusal (network I/O) is written after the release so a
-// slow client can never stall Drain's write-side acquire.
-func (s *Server) enqueue(w http.ResponseWriter, msg pumpMsg) bool {
-	accepted, draining := s.tryEnqueue(msg)
-	switch {
-	case accepted:
-		return true
-	case draining:
-		writeErr(w, http.StatusServiceUnavailable, "draining")
-	default:
-		s.rej429.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, "ingest queue full (%d batches); retry", cap(s.ingest))
-	}
-	return false
-}
-
-// tryEnqueue is the transport-neutral core of enqueue: a non-blocking
-// send under the drain gate, shared by the HTTP refusal path above and
-// the streaming-ingest ack loop (which retries instead of refusing).
-func (s *Server) tryEnqueue(msg pumpMsg) (accepted, draining bool) {
-	s.gate.RLock()
-	draining = s.draining
-	if !draining {
-		select {
-		case s.ingest <- msg:
-			accepted = true
-		default:
-		}
-	}
-	s.gate.RUnlock()
-	return accepted, draining
-}
-
-// IsBatchContentType reports whether ct selects the binary batch
-// codec (media type match, parameters ignored).
-func IsBatchContentType(ct string) bool {
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == BatchContentType
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
-	lookup := s.types.Load().(map[string]sharon.Type)
-	batch := GetBatch()
-	decodeStart := time.Now()
-	var err error
-	var decodeStage *obs.Histogram
-	if IsBatchContentType(r.Header.Get("Content-Type")) {
-		// Binary one-shot: the body is a header + CRC frames. Reading it
-		// whole before decoding keeps the 413 boundary identical to the
-		// NDJSON path (MaxBytesReader fires before any decode).
-		decodeStage = &s.stages.decodeBinary
-		var data []byte
-		if data, err = io.ReadAll(body); err == nil {
-			err = DecodeWireBatch(data, lookup, batch)
-		}
-	} else {
-		decodeStage = &s.stages.decodeNDJSON
-		err = batch.ReadNDJSON(body, lookup)
-	}
-	if err != nil {
-		PutBatch(batch)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.rej413.Add(1)
-			writeErr(w, http.StatusRequestEntityTooLarge, "batch exceeds %d bytes", s.cfg.MaxBatchBytes)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "parse: %v", err)
-		return
-	}
-	decodeStage.Record(time.Since(decodeStart).Nanoseconds())
-	// Counters are read before enqueue: once the pump has the message it
-	// may recycle the batch concurrently with this handler's response.
-	accepted, unknown := len(batch.Events), batch.Unknown
-	s.droppedUnknown.Add(unknown)
-	if accepted == 0 && batch.Watermark < 0 {
-		PutBatch(batch)
-		writeJSON(w, http.StatusOK, map[string]any{"accepted": 0, "dropped_unknown_type": unknown})
-		return
-	}
-	if !s.enqueue(w, pumpMsg{batch: *batch, recycle: batch, admitNano: time.Now().UnixNano()}) {
-		PutBatch(batch)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"accepted":             accepted,
-		"dropped_unknown_type": unknown,
-		"queue_depth":          len(s.ingest),
-	})
-}
-
-func (s *Server) handleWatermark(w http.ResponseWriter, r *http.Request) {
-	var line IngestLine
-	body := http.MaxBytesReader(w, r.Body, 4096)
-	if err := json.NewDecoder(body).Decode(&line); err != nil || line.Watermark == nil {
-		writeErr(w, http.StatusBadRequest, `want {"watermark":<ticks>}`)
-		return
-	}
-	if !s.enqueue(w, pumpMsg{batch: Batch{Watermark: *line.Watermark}, admitNano: time.Now().UnixNano()}) {
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"watermark": *line.Watermark})
-}
-
-func (s *Server) streamOptions() StreamOptions {
-	return StreamOptions{
-		Hub: s.hub,
-		QueryKnown: func(id int) bool {
-			_, ok := s.loadView().queries[id]
-			return ok
-		},
-		Watermark: s.wm.Load,
-	}
-}
-
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	ServeStream(w, r, s.streamOptions())
-}
-
-func (s *Server) handleSubscribeWS(w http.ResponseWriter, r *http.Request) {
-	ServeStreamWS(w, r, s.streamOptions())
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.gate.RLock()
-	draining := s.draining
-	s.gate.RUnlock()
 	v := s.loadView()
 	st := metrics.ServerStats{
-		UptimeSec:                time.Since(s.start).Seconds(),
-		Queries:                  len(v.entries),
-		Parallelism:              s.cfg.Parallelism,
-		EventsIngested:           s.ingested.Load(),
-		EventsDroppedLate:        s.droppedLate.Load(),
-		EventsDroppedUnknownType: s.droppedUnknown.Load(),
-		Batches:                  s.batches.Load(),
-		RejectedBackpressure:     s.rej429.Load(),
-		RejectedOversize:         s.rej413.Load(),
-		IngestQueueDepth:         len(s.ingest),
-		IngestQueueCap:           cap(s.ingest),
-		Watermark:                s.wm.Load(),
-		ResultsEmitted:           s.emitted.Load(),
-		ResultsDelivered:         s.hub.DeliveredResults(),
-		Subscribers:              s.hub.Count(),
-		SlowConsumerDisconnects:  s.hub.SlowDrops(),
-		FanoutFramesEncoded:      s.hub.Encoded(),
-		FanoutFramesDelivered:    s.hub.Delivered(),
-		FanoutDroppedSlow:        s.hub.SlowDrops(),
-		FanoutDroppedFiltered:    s.hub.FilteredDrops(),
-		Migrations:               s.migrations.Load(),
-		ShareTransitions:         s.shareTrans.Load(),
-		SplitTransitions:         s.splitTrans.Load(),
-		PrunedStarts:             s.prunedStarts.Load(),
-		PeakLiveStates:           s.peakStates.Load(),
-		GroupsLive:               s.groupsLive.Load(),
-		Draining:                 draining,
-		Stages:                   s.stages.summaries(),
-		Parallel:                 s.parStats.Load(),
-		Durability:               s.durabilityStats(),
+		EdgeStats:        s.edge.Stats(len(v.entries)),
+		Parallelism:      s.cfg.Parallelism,
+		Migrations:       s.migrations.Load(),
+		ShareTransitions: s.shareTrans.Load(),
+		SplitTransitions: s.splitTrans.Load(),
+		PrunedStarts:     s.prunedStarts.Load(),
+		PeakLiveStates:   s.peakStates.Load(),
+		GroupsLive:       s.groupsLive.Load(),
+		Parallel:         s.parStats.Load(),
+		Durability:       s.durabilityStats(),
 	}
+	st.Stages["wire_batch_events"] = wireBatchEvents.Snapshot().Summary(1)
 	if s.cfg.Adaptive {
 		st.BurstState = sharon.BurstState(s.burstState.Load()).String()
 	}
 	if obs.MetricsFormat(r) == "prometheus" {
-		s.writeProm(w, st)
+		s.edge.WriteProm(w, st.EdgeStats, func(pw *obs.PromWriter) { writeProm(pw, st) })
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if errv := s.runErr.Load(); errv != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"status": "error", "error": errv.(string)})
+	if f := s.edge.Failed(); f != "" {
+		WriteJSON(w, http.StatusInternalServerError, map[string]string{"status": "error", "error": f})
 		return
 	}
 	// A replaying node is not ready for traffic: load balancers must not
 	// route to it until the WAL tail has been re-applied.
 	if s.recovering.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":           "recovering",
 			"replayed_batches": s.replayedBatches.Load(),
 		})
 		return
 	}
-	s.gate.RLock()
-	draining := s.draining
-	s.gate.RUnlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	if s.edge.Draining() {
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -146,17 +146,17 @@ func parseSubscribe(w http.ResponseWriter, r *http.Request, o StreamOptions) (sr
 	q := r.URL.Query()
 	sr.after = -1
 	if q.Has("punctuate") {
-		writeErr(w, http.StatusBadRequest, "punctuate= is no longer accepted; subscribe with type=result&type=wm&type=adopted")
+		WriteErr(w, http.StatusBadRequest, "punctuate= is no longer accepted; subscribe with type=result&type=wm&type=adopted")
 		return sr, false
 	}
 	for _, raw := range q["query"] {
 		id, err := strconv.Atoi(raw)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad query id %q", raw)
+			WriteErr(w, http.StatusBadRequest, "bad query id %q", raw)
 			return sr, false
 		}
 		if o.QueryKnown == nil || !o.QueryKnown(id) {
-			writeErr(w, http.StatusNotFound, "no query %d", id)
+			WriteErr(w, http.StatusNotFound, "no query %d", id)
 			return sr, false
 		}
 		sr.filter.Queries = append(sr.filter.Queries, id)
@@ -164,7 +164,7 @@ func parseSubscribe(w http.ResponseWriter, r *http.Request, o StreamOptions) (sr
 	for _, raw := range q["group"] {
 		g, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad group key %q", raw)
+			WriteErr(w, http.StatusBadRequest, "bad group key %q", raw)
 			return sr, false
 		}
 		sr.filter.Groups = append(sr.filter.Groups, g)
@@ -178,7 +178,7 @@ func parseSubscribe(w http.ResponseWriter, r *http.Request, o StreamOptions) (sr
 		case "adopted":
 			sr.filter.Kinds |= KindAdopted
 		default:
-			writeErr(w, http.StatusBadRequest, "bad type %q (want result, wm, or adopted)", raw)
+			WriteErr(w, http.StatusBadRequest, "bad type %q (want result, wm, or adopted)", raw)
 			return sr, false
 		}
 	}
@@ -187,14 +187,14 @@ func parseSubscribe(w http.ResponseWriter, r *http.Request, o StreamOptions) (sr
 	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
 		v, err := strconv.ParseInt(lei, 10, 64)
 		if err != nil || v < -1 {
-			writeErr(w, http.StatusBadRequest, "bad Last-Event-ID %q", lei)
+			WriteErr(w, http.StatusBadRequest, "bad Last-Event-ID %q", lei)
 			return sr, false
 		}
 		sr.after, sr.resume = v, true
 	} else if as := q.Get("after"); as != "" {
 		v, err := strconv.ParseInt(as, 10, 64)
 		if err != nil || v < -1 {
-			writeErr(w, http.StatusBadRequest, "bad after %q", as)
+			WriteErr(w, http.StatusBadRequest, "bad after %q", as)
 			return sr, false
 		}
 		sr.after, sr.resume = v, true
@@ -227,10 +227,10 @@ func subscribe(w http.ResponseWriter, o StreamOptions, sr subRequest, ws bool) (
 	if err != nil {
 		if gap, ok := err.(*GapError); ok {
 			w.Header().Set("Sharon-Oldest-Seq", strconv.FormatInt(gap.Oldest, 10))
-			writeErr(w, http.StatusGone, "%s; resubscribe from scratch or after=%d", gap.Error(), gap.Oldest-1)
+			WriteErr(w, http.StatusGone, "%s; resubscribe from scratch or after=%d", gap.Error(), gap.Oldest-1)
 			return nil, false
 		}
-		writeErr(w, http.StatusServiceUnavailable, "draining")
+		WriteErr(w, http.StatusServiceUnavailable, "draining")
 		return nil, false
 	}
 	return sub, true
@@ -286,7 +286,7 @@ func (c *sseConn) WriteTerminal(reason string) {
 // frontier is built on.
 func ServeStream(w http.ResponseWriter, r *http.Request, o StreamOptions) {
 	if _, ok := w.(http.Flusher); !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteErr(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	sr, ok := parseSubscribe(w, r, o)

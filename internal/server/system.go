@@ -59,7 +59,7 @@ func (sk *sink) onResult(r sharon.Result) {
 		return
 	}
 	seq := sk.srv.seq.Add(1) - 1
-	sk.srv.emitted.Add(1)
+	sk.srv.edge.Emitted.Add(1)
 	payload := EncodeResult(sk.qs, seq, r)
 	// Ingest-to-emit: attribute the result to the admit stamp of the
 	// step the pump is applying (the batch whose events or watermark
@@ -67,9 +67,9 @@ func (sk *sink) onResult(r sharon.Result) {
 	// seam, so the wall clock here never taints a deterministic path.
 	now := time.Now().UnixNano()
 	if stamp := sk.srv.batchStamp.Load(); stamp > 0 {
-		sk.srv.stages.emit.Record(now - stamp)
+		sk.srv.emit.Record(now - stamp)
 		if q, ok := sk.qs[r.Query]; ok && sk.srv.lastWinTraced.Swap(r.Win) != r.Win {
-			sk.srv.tracer.Record(obs.Span{
+			sk.srv.edge.Tracer.Record(obs.Span{
 				Kind:      "window",
 				Start:     stamp,
 				DurNs:     now - stamp,
@@ -78,8 +78,8 @@ func (sk *sink) onResult(r sharon.Result) {
 			})
 		}
 	}
-	sk.srv.ring.Append(seq, payload)
-	sk.srv.hub.Publish(r.Query, int64(r.Group), seq, payload, now)
+	sk.srv.edge.Ring.Append(seq, payload)
+	sk.srv.edge.Hub.Publish(r.Query, int64(r.Group), seq, payload, now)
 }
 
 // builtSystem pairs a running system with its sink and metadata.

@@ -66,22 +66,22 @@ func wsCloseFrame(code uint16) []byte {
 func upgradeWS(w http.ResponseWriter, r *http.Request) (net.Conn, *bufio.Reader, error) {
 	if !headerHasToken(r.Header, "Connection", "upgrade") ||
 		!strings.EqualFold(r.Header.Get("Upgrade"), "websocket") {
-		writeErr(w, http.StatusBadRequest, "websocket upgrade required")
+		WriteErr(w, http.StatusBadRequest, "websocket upgrade required")
 		return nil, nil, fmt.Errorf("not an upgrade request")
 	}
 	if r.Header.Get("Sec-WebSocket-Version") != "13" {
 		w.Header().Set("Sec-WebSocket-Version", "13")
-		writeErr(w, http.StatusUpgradeRequired, "unsupported websocket version")
+		WriteErr(w, http.StatusUpgradeRequired, "unsupported websocket version")
 		return nil, nil, fmt.Errorf("bad ws version")
 	}
 	key := r.Header.Get("Sec-WebSocket-Key")
 	if key == "" {
-		writeErr(w, http.StatusBadRequest, "missing Sec-WebSocket-Key")
+		WriteErr(w, http.StatusBadRequest, "missing Sec-WebSocket-Key")
 		return nil, nil, fmt.Errorf("missing ws key")
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		writeErr(w, http.StatusInternalServerError, "websocket unsupported")
+		WriteErr(w, http.StatusInternalServerError, "websocket unsupported")
 		return nil, nil, fmt.Errorf("no hijacker")
 	}
 	conn, brw, err := hj.Hijack()
